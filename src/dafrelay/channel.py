@@ -175,24 +175,23 @@ def gen_cascaded(
     """
     if spec_sr.lag_n != spec_rd.lag_n:
         raise ValueError("spec_sr and spec_rd must share lag_n")
-    n_real = 1 if realizations is None else int(realizations)
     h_rd = gen_fading(spec_rd, length, rng, realizations)
-    h_rd_2d = h_rd[None, :] if realizations is None else h_rd
     if kind is CascadedModelKind.EXACT_PRODUCT:
-        h_sr = gen_fading(spec_sr, length, rng, realizations)
-        h = h_sr * h_rd
-    else:
-        a = autocorr(spec_sr) * autocorr(spec_rd)
-        innov_scale = np.sqrt(max(0.0, 1.0 - a * a))
-        h = np.empty((n_real, length), dtype=complex)
-        h[:, 0] = _crandn(rng, n_real) * h_rd_2d[:, 0]
-        if length > 1:
-            e_sr = _crandn(rng, (n_real, length - 1))
-            for k in range(1, length):
-                h[:, k] = a * h[:, k - 1] + innov_scale * h_rd_2d[:, k - 1] * e_sr[:, k - 1]
-        if realizations is None:
-            h = h[0]
-    return h, h_rd
+        return gen_fading(spec_sr, length, rng, realizations) * h_rd, h_rd
+    from scipy.signal import lfilter
+
+    h_rd_2d = np.atleast_2d(h_rd)
+    a = autocorr(spec_sr) * autocorr(spec_rd)
+    h = np.empty(h_rd_2d.shape, dtype=complex)
+    h[:, 0] = _crandn(rng, len(h)) * h_rd_2d[:, 0]
+    e_sr = _crandn(rng, (len(h), length - 1))
+    # filter input sqrt(1-a^2)*h_rd[k-1]*e_sr[k-1]; e_sr is freed before the
+    # filter output is allocated, which keeps peak memory at the loop's level
+    x = np.sqrt(max(0.0, 1.0 - a * a)) * h_rd_2d[:, :-1]
+    x *= e_sr
+    del e_sr
+    h[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * h[:, :1])
+    return (h[0] if realizations is None else h), h_rd
 
 
 def envelope_pdf_theoretical(lam):

@@ -2,7 +2,6 @@
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .channel import (
     rayleigh_pdf,
     validate_stats,
 )
-from .montecarlo import RunConfig, run_sweep
+from .montecarlo import RunConfig, run_point_schemes
 from .receiver import Scheme
 
 CSV_HEADER = "p_db,scenario,scheme,m,ber_sim,ci95,ber_theory,ber_floor,truncated"
@@ -74,12 +73,16 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+def _lookup(table: dict, key: str, value: str):
+    if value not in table:
+        raise ValueError(f"unknown {key} {value!r} (choose from {sorted(table)})")
+    return table[value]
+
+
 def _resolve_scenario(args_scenario, cfg: dict) -> Scenario:
     name = args_scenario or cfg.get("scenario")
     if name:
-        if name not in SCENARIOS:
-            raise ValueError(f"unknown scenario {name!r} (choose from {sorted(SCENARIOS)})")
-        return SCENARIOS[name]
+        return _lookup(SCENARIOS, "scenario", name)
     try:
         return Scenario(
             "custom", float(cfg["f_sd"]), float(cfg["f_sr"]), float(cfg["f_rd"])
@@ -96,24 +99,25 @@ _CASCADED = {"exact": CascadedModelKind.EXACT_PRODUCT, "approx": CascadedModelKi
 def _resolve_schemes(value: str) -> list[Scheme]:
     if value == "all":
         return [Scheme.CDD, Scheme.TVD, Scheme.OPT_GENIE]
-    schemes = []
-    for token in value.split(","):
-        token = token.strip()
-        if token not in _SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {token!r}")
-        schemes.append(_SCHEME_NAMES[token])
-    return schemes
+    return [_lookup(_SCHEME_NAMES, "scheme", token.strip()) for token in value.split(",")]
+
+
+_SWEEP_KEYS = {
+    "scenario", "f_sd", "f_sr", "f_rd", "m", "schemes", "p_db", "seed",
+    "generator", "cascaded", "min_bit_errors", "max_symbols", "frame_len",
+}
 
 
 def cmd_sweep(args) -> int:
     cfg = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - _SWEEP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown} (choose from {sorted(_SWEEP_KEYS)})")
     scenario = _resolve_scenario(args.scenario, cfg)
     m = int(args.m if args.m is not None else cfg.get("m", 2))
     schemes = _resolve_schemes(args.scheme or cfg.get("schemes", "tvd"))
     grid = parse_grid(args.pdb or cfg.get("p_db", "0:5:30"))
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    generator = _GENERATORS[cfg.get("generator", "sos")]
-    cascaded = _CASCADED[cfg.get("cascaded", "exact")]
     base = RunConfig(
         scenario=scenario,
         M=m,
@@ -122,22 +126,22 @@ def cmd_sweep(args) -> int:
         max_symbols=int(float(cfg.get("max_symbols", 10**8))),
         frame_len=int(cfg.get("frame_len", 10**4)),
         master_seed=seed,
-        generator=generator,
-        cascaded_model=cascaded,
+        generator=_lookup(_GENERATORS, "generator", cfg.get("generator", "sos")),
+        cascaded_model=_lookup(_CASCADED, "cascaded", cfg.get("cascaded", "exact")),
     )
 
     lag = base.lag_n
     alpha_sd = autocorr(FadingSpec(scenario.f_sd, lag))
     alpha = autocorr(FadingSpec(scenario.f_sr, lag)) * autocorr(FadingSpec(scenario.f_rd, lag))
 
+    # theory and floor depend on the point only; all schemes share one simulation per point
+    points = [analysis.pep_point(alpha_sd, alpha, p_db, m) for p_db in grid]
+    estimates = [None if args.no_sim else run_point_schemes(base, p_db, schemes) for p_db in grid]
     rows = []
     for scheme in schemes:
-        config = replace(base, scheme=scheme)
-        estimates = None if args.no_sim else run_sweep(config)
-        for i, p_db in enumerate(grid):
-            point = analysis.pep_point(alpha_sd, alpha, p_db, m)
+        for p_db, point, by_scheme in zip(grid, points, estimates):
             _, floor_ber = analysis.ser_ber_from_pep(point.floor, m)
-            est = estimates[i] if estimates else None
+            est = by_scheme[scheme] if by_scheme else None
             rows.append(
                 ",".join(
                     [

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import _crandn
+
 __all__ = [
     "Constellation",
     "PowerAllocation",
@@ -74,12 +76,10 @@ class PowerAllocation:
 
 @dataclass
 class LinkObservation:
-    """Destination observations from the two phases, plus genie side information."""
+    """Destination observations from the two phases."""
 
     y_sd: np.ndarray
     y_rd: np.ndarray
-    h_rd: np.ndarray
-    tx_symbols: np.ndarray  # transmitted constellation indices (data, no reference)
 
 
 def diff_encode(symbols, constellation: Constellation):
@@ -98,28 +98,23 @@ def diff_encode(symbols, constellation: Constellation):
     return constellation.symbols[acc]
 
 
-def transmit(s, h_sd, h_sr, h_rd, power: PowerAllocation, rng, with_noise: bool = True) -> LinkObservation:
+def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng, with_noise: bool = True) -> LinkObservation:
     """Run the two-phase chain: source broadcast, then amplified relay forward.
 
     y_sd = sqrt(P0) h_sd s + w_sd
-    y_sr = sqrt(P0) h_sr s + w_sr
-    y_rd = A h_rd y_sr + w_rd
+    y_rd = A h_rd (sqrt(P0) h_sr s + w_sr) + w_rd = A sqrt(P0) h s + A h_rd w_sr + w_rd
 
-    The relay observation is formed physically, so the equivalent-noise
-    structure of the cascaded link emerges rather than being injected.
-    All noises are i.i.d. CN(0,1); arrays may be 1D or (realizations, length).
+    `h` is the cascaded gain, h_sr*h_rd for the exact product model.  The relay
+    noise w_sr passes through the relay gain and h_rd, so the
+    equivalent-noise structure of the cascaded link emerges rather than being
+    injected.  All noises are i.i.d. CN(0,1), drawn in the order w_sd, w_sr,
+    w_rd; arrays may be 1D or (realizations, length).
     """
     s = np.asarray(s)
-    shape = s.shape
-    sq = np.sqrt(2.0)
     if with_noise:
-        w_sd = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / sq
-        w_sr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / sq
-        w_rd = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / sq
+        w_sd, w_sr, w_rd = (_crandn(rng, s.shape) for _ in range(3))
     else:
         w_sd = w_sr = w_rd = 0.0
-    sp0 = np.sqrt(power.P0)
-    y_sd = sp0 * h_sd * s + w_sd
-    y_sr = sp0 * h_sr * s + w_sr
-    y_rd = power.A * h_rd * y_sr + w_rd
-    return LinkObservation(y_sd, y_rd, np.asarray(h_rd), np.asarray([]))
+    y_sd = np.sqrt(power.P0) * h_sd * s + w_sd
+    y_rd = power.A * np.sqrt(power.P0) * h * s + (power.A * h_rd * w_sr + w_rd)
+    return LinkObservation(y_sd, y_rd)

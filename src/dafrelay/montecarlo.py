@@ -17,6 +17,7 @@ from .channel import (
     FadingSpec,
     Scenario,
     autocorr,
+    gen_cascaded,
     gen_fading,
 )
 from .link import Constellation, PowerAllocation, diff_encode, transmit
@@ -48,6 +49,9 @@ class RunConfig:
             raise ValueError("p_db_grid must be non-empty")
         if self.min_bit_errors < 50:
             raise ValueError("min_bit_errors must be >= 50")
+        for name in ("frame_len", "max_symbols", "frames_per_chunk"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -69,15 +73,12 @@ def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
     return np.random.default_rng(ss)
 
 
-def _crandn(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _generate_chunk(config: RunConfig, pa: PowerAllocation, const: Constellation, rng, n_frames: int):
     """One chunk of independent frames: data and destination observations.
 
-    Draw order is fixed for reproducibility: data, channels, then noise.
-    Returns (data, y_sd, y_rd, h_rd) with observation shape (n_frames, L+1).
+    Draw order is fixed for reproducibility: data, h_sd, the cascade (h_rd
+    first), then noise.  Returns (data, y_sd, y_rd, h_rd) with observation
+    shape (n_frames, L+1).
     """
     scn = config.scenario
     L = config.frame_len
@@ -90,29 +91,9 @@ def _generate_chunk(config: RunConfig, pa: PowerAllocation, const: Constellation
     s = diff_encode(tx_idx, const)
 
     h_sd = gen_fading(spec_sd, L + 1, rng, n_frames)
-    h_rd = gen_fading(spec_rd, L + 1, rng, n_frames)
-    if config.cascaded_model is CascadedModelKind.EXACT_PRODUCT:
-        h_sr = gen_fading(spec_sr, L + 1, rng, n_frames)
-        obs = transmit(s, h_sd, h_sr, h_rd, pa, rng, config.with_noise)
-        return data, obs.y_sd, obs.y_rd, h_rd
-
-    # approximate cascade: one-term recursion for h, matching equivalent noise
-    alpha = autocorr(spec_sr) * autocorr(spec_rd)
-    innov = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-    h = np.empty((n_frames, L + 1), dtype=complex)
-    h[:, 0] = _crandn(rng, n_frames) * h_rd[:, 0]
-    e_sr = _crandn(rng, (n_frames, L))
-    for k in range(1, L + 1):
-        h[:, k] = alpha * h[:, k - 1] + innov * h_rd[:, k - 1] * e_sr[:, k - 1]
-    if config.with_noise:
-        w_sd = _crandn(rng, (n_frames, L + 1))
-        w_sr = _crandn(rng, (n_frames, L + 1))
-        w_rd = _crandn(rng, (n_frames, L + 1))
-    else:
-        w_sd = w_sr = w_rd = 0.0
-    y_sd = np.sqrt(pa.P0) * h_sd * s + w_sd
-    y_rd = pa.A * np.sqrt(pa.P0) * h * s + (pa.A * h_rd * w_sr + w_rd)
-    return data, y_sd, y_rd, h_rd
+    h, h_rd = gen_cascaded(spec_sr, spec_rd, config.cascaded_model, L + 1, rng, n_frames)
+    obs = transmit(s, h_sd, h, h_rd, pa, rng, config.with_noise)
+    return data, obs.y_sd, obs.y_rd, h_rd
 
 
 def _scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, pa: PowerAllocation, h_rd):

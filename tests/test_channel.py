@@ -156,6 +156,33 @@ class TestCascadedChannel:
         assert h.shape == (30,)
         assert h_rd.shape == (30,)
 
+    @pytest.mark.parametrize("length, realizations", [(1001, 64), (10, 1000), (30, None)])
+    def test_approximate_matches_symbol_loop(self, length, realizations):
+        # oracle: the one-term recursion as a plain loop over the same draws
+        # (h_rd, then the initial CN(0,1) factor, then the innovations e_sr)
+        spec_sr = FadingSpec(0.05)
+        spec_rd = FadingSpec(0.01)
+        h, h_rd = gen_cascaded(
+            spec_sr, spec_rd, CascadedModelKind.APPROXIMATE, length, rng_for(16), realizations
+        )
+        rng = rng_for(16)
+
+        def crandn(shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+        n = 1 if realizations is None else realizations
+        ref_rd = gen_fading(spec_rd, length, rng, n)
+        a = autocorr(spec_sr) * autocorr(spec_rd)
+        ref = np.empty((n, length), dtype=complex)
+        ref[:, 0] = crandn(n) * ref_rd[:, 0]
+        e_sr = crandn((n, length - 1))
+        for k in range(1, length):
+            ref[:, k] = a * ref[:, k - 1] + np.sqrt(1.0 - a * a) * ref_rd[:, k - 1] * e_sr[:, k - 1]
+        if realizations is None:
+            ref, ref_rd = ref[0], ref_rd[0]
+        assert np.array_equal(h_rd, ref_rd)
+        assert np.array_equal(h, ref)
+
 
 class TestEnvelopeDistribution:
     def test_pdf_zero_at_origin(self):

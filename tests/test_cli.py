@@ -114,6 +114,26 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_all_schemes_share_draws_under_symbol_budget(self, tmp_path):
+        # with a binding budget, each scheme of one paired run sees the same
+        # chunks as a run of that scheme alone
+        cfg = write_cfg(tmp_path, "max_symbols = 4000\nmin_bit_errors = 1000000000\n")
+        args = ["sweep", "--scenario", "III", "--m", "4", "--pdb", "5:10:25", "--seed", "5",
+                "--config", cfg, "--out"]
+
+        def sim_columns(scheme):
+            out = tmp_path / f"{scheme}.csv"
+            assert main(args + [str(out), "--scheme", scheme]) == 0
+            rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+            return {(r[0], r[2]): (r[4], r[5], r[8]) for r in rows}
+
+        paired = sim_columns("all")
+        assert len(paired) == 9
+        for scheme in ("cdd", "tvd", "opt"):
+            alone = sim_columns(scheme)
+            assert alone == {key: cols for key, cols in paired.items() if key[1] == scheme}
+        assert all(cols[2] == "1" for cols in paired.values())
+
     def test_custom_scenario_from_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f_sd = 0.02\nf_sr = 0.02\nf_rd = 0.005\n")
         rc = main(["sweep", "--m", "2", "--scheme", "tvd", "--pdb", "10",
@@ -123,6 +143,13 @@ class TestSweepCommand:
 
     def test_unknown_scheme_exits_usage(self, capsys):
         rc = main(["sweep", "--scenario", "I", "--scheme", "mrc", "--pdb", "10", "--no-sim"])
+        assert rc == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["generator = foo", "cascaded = foo", "min_bit_error = 60"])
+    def test_bad_config_entry_exits_usage(self, tmp_path, capsys, extra):
+        cfg = write_cfg(tmp_path, extra)
+        rc = main(["sweep", "--scenario", "I", "--pdb", "10", "--no-sim", "--config", cfg])
         assert rc == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 

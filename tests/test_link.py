@@ -127,7 +127,7 @@ class TestTransmit:
         h_sd = np.full(4, 0.3 + 0.4j)
         h_sr = np.full(4, 1.0 + 0j)
         h_rd = np.full(4, 0.5 - 0.2j)
-        obs = transmit(s, h_sd, h_sr, h_rd, pa, rng, with_noise=False)
+        obs = transmit(s, h_sd, h_sr * h_rd, h_rd, pa, rng, with_noise=False)
         assert np.allclose(obs.y_sd, np.sqrt(pa.P0) * h_sd * s, atol=0)
         assert np.allclose(obs.y_rd, pa.A * h_rd * np.sqrt(pa.P0) * h_sr * s, atol=0)
 

@@ -43,6 +43,9 @@ class TestRunConfig:
             RunConfig(scenario=SCENARIOS["I"], p_db_grid=())
         with pytest.raises(ValueError):
             RunConfig(scenario=SCENARIOS["I"], min_bit_errors=10)
+        for bad in (dict(frame_len=0), dict(max_symbols=0), dict(frames_per_chunk=0)):
+            with pytest.raises(ValueError):
+                RunConfig(scenario=SCENARIOS["I"], **bad)
 
 
 class TestStoppingRules:
