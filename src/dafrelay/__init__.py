@@ -27,7 +27,7 @@ from .channel import (
     validate_stats,
 )
 from .link import Constellation, LinkObservation, PowerAllocation, diff_encode, transmit
-from .montecarlo import BerEstimate, RunConfig, diversity_slope, run_point, run_sweep
+from .montecarlo import BerEstimate, RunConfig, diversity_slope, run_point_schemes, run_sweep
 from .receiver import (
     CombinerWeights,
     Scheme,

@@ -72,10 +72,8 @@ class PepPoint:
 
 
 def gamma_sd(params: PepParams) -> float:
-    """Effective SNR term of the direct branch."""
-    a2 = params.alpha_sd**2
-    p0 = params.P0
-    return a2 * p0 / (2.0 * p0 * (1.0 - a2) + 4.0 + 2.0 / p0)
+    """Effective SNR term of the direct branch: gamma_rd at autocorrelation alpha_sd and SNR P0."""
+    return gamma_rd(params.alpha_sd, params.P0)
 
 
 def gamma_rd(alpha: float, rho: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special, stats
 
 from .specials import bessel_j0, bessel_k0
 
@@ -78,6 +78,11 @@ class Scenario:
         for f in (self.f_sd, self.f_sr, self.f_rd):
             if not 0.0 <= f < 0.5:
                 raise ValueError(f"normalized Doppler must be in [0, 0.5), got {f}")
+
+    def autocorrs(self, lag_n: int = 1) -> tuple[float, float]:
+        """(alpha_sd, alpha): autocorrelations at lag_n of the direct link and of the cascade."""
+        a_sd, a_sr, a_rd = (autocorr(FadingSpec(f, lag_n)) for f in (self.f_sd, self.f_sr, self.f_rd))
+        return a_sd, a_sr * a_rd
 
 
 SCENARIOS = {
@@ -214,6 +219,11 @@ def rayleigh_pdf(lam):
 
 _HIST_BINS = 100
 _HIST_RANGE = (0.0, 5.0)  # captures >99.99% of the cascaded envelope mass
+_HIST_EDGES = np.linspace(*_HIST_RANGE, _HIST_BINS + 1)
+# mass of each bin under 4*l*K0(2*l), from its CDF F(l) = 1 - 2*l*K1(2*l) with
+# F(0) = 0; the last right edge takes F = 1, which folds the tail into the last bin
+_INNER_EDGES = _HIST_EDGES[1:-1]
+_HIST_MASSES = np.diff(np.concatenate(([0.0], 1.0 - 2.0 * _INNER_EDGES * special.k1(2.0 * _INNER_EDGES), [1.0])))
 
 
 def validate_stats(samples) -> ChannelStats:
@@ -246,18 +256,10 @@ def envelope_chi_square(samples, min_expected=5.0):
     """
     lam = np.abs(np.asarray(samples)).ravel()
     n = lam.size
-    edges = np.linspace(*_HIST_RANGE, _HIST_BINS + 1)
-    observed, _ = np.histogram(lam, bins=edges)
-    # probability mass per bin, with the tail beyond the range folded into the
-    # last bin so the masses sum to one
-    probs = np.empty(_HIST_BINS)
-    for i in range(_HIST_BINS):
-        probs[i], _ = integrate.quad(lambda x: 4.0 * x * bessel_k0(2.0 * x) if x > 0 else 0.0, edges[i], edges[i + 1])
-    tail = max(0.0, 1.0 - probs.sum())
-    probs[-1] += tail
+    observed, _ = np.histogram(lam, bins=_HIST_EDGES)
+    expected = n * _HIST_MASSES
     observed = observed.astype(float)
-    observed[-1] += np.count_nonzero(lam >= edges[-1])
-    expected = n * probs
+    observed[-1] += np.count_nonzero(lam >= _HIST_EDGES[-1])
     # merge low-expectation bins from the right
     obs_m, exp_m = [], []
     acc_o = acc_e = 0.0

@@ -12,14 +12,13 @@ from .channel import (
     FadingGenerator,
     FadingSpec,
     Scenario,
-    autocorr,
     envelope_chi_square,
     envelope_pdf_theoretical,
     gen_cascaded,
     rayleigh_pdf,
     validate_stats,
 )
-from .montecarlo import RunConfig, run_point_schemes
+from .montecarlo import RunConfig, run_sweep
 from .receiver import Scheme
 
 CSV_HEADER = "p_db,scenario,scheme,m,ber_sim,ci95,ber_theory,ber_floor,truncated"
@@ -82,6 +81,8 @@ def _lookup(table: dict, key: str, value: str):
 def _resolve_scenario(args_scenario, cfg: dict) -> Scenario:
     name = args_scenario or cfg.get("scenario")
     if name:
+        if any(key in cfg for key in ("f_sd", "f_sr", "f_rd")):
+            raise ValueError(f"scenario {name!r} excludes explicit f_sd/f_sr/f_rd")
         return _lookup(SCENARIOS, "scenario", name)
     try:
         return Scenario(
@@ -130,33 +131,29 @@ def cmd_sweep(args) -> int:
         cascaded_model=_lookup(_CASCADED, "cascaded", cfg.get("cascaded", "exact")),
     )
 
-    lag = base.lag_n
-    alpha_sd = autocorr(FadingSpec(scenario.f_sd, lag))
-    alpha = autocorr(FadingSpec(scenario.f_sr, lag)) * autocorr(FadingSpec(scenario.f_rd, lag))
-
-    # theory and floor depend on the point only; all schemes share one simulation per point
+    alpha_sd, alpha = scenario.autocorrs(base.lag_n)
+    # theory and floor depend on the point only; rows are scheme-major, as run_sweep returns them
     points = [analysis.pep_point(alpha_sd, alpha, p_db, m) for p_db in grid]
-    estimates = [None if args.no_sim else run_point_schemes(base, p_db, schemes) for p_db in grid]
+    cells = [(scheme, p_db, point) for scheme in schemes for p_db, point in zip(grid, points)]
+    estimates = [None] * len(cells) if args.no_sim else run_sweep(base, schemes)
     rows = []
-    for scheme in schemes:
-        for p_db, point, by_scheme in zip(grid, points, estimates):
-            _, floor_ber = analysis.ser_ber_from_pep(point.floor, m)
-            est = by_scheme[scheme] if by_scheme else None
-            rows.append(
-                ",".join(
-                    [
-                        _fmt(p_db),
-                        scenario.name,
-                        scheme.value,
-                        str(m),
-                        _fmt(est.ber if est else None),
-                        _fmt(est.ci95_halfwidth if est else None),
-                        _fmt(point.ber),
-                        _fmt(floor_ber),
-                        ("1" if est.truncated else "0") if est else "",
-                    ]
-                )
+    for (scheme, p_db, point), est in zip(cells, estimates):
+        _, floor_ber = analysis.ser_ber_from_pep(point.floor, m)
+        rows.append(
+            ",".join(
+                [
+                    _fmt(p_db),
+                    scenario.name,
+                    scheme.value,
+                    str(m),
+                    _fmt(est.ber if est else None),
+                    _fmt(est.ci95_halfwidth if est else None),
+                    _fmt(point.ber),
+                    _fmt(floor_ber),
+                    ("1" if est.truncated else "0") if est else "",
+                ]
             )
+        )
 
     out = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.out:
@@ -176,7 +173,7 @@ def cmd_validate_channel(args) -> int:
     n_frames = max(2, n_samples // frame_len)
     spec_sr = FadingSpec(scenario.f_sr, 1, FadingGenerator.AR1)
     spec_rd = FadingSpec(scenario.f_rd, 1, FadingGenerator.AR1)
-    alpha = autocorr(spec_sr) * autocorr(spec_rd)
+    _, alpha = scenario.autocorrs()
 
     lines = [f"channel validation: scenario {scenario.name}"]
     lines.append(

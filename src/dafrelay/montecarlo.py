@@ -16,14 +16,13 @@ from .channel import (
     FadingGenerator,
     FadingSpec,
     Scenario,
-    autocorr,
     gen_cascaded,
     gen_fading,
 )
 from .link import Constellation, PowerAllocation, diff_encode, transmit
 from .receiver import Scheme
 
-__all__ = ["RunConfig", "BerEstimate", "run_point", "run_point_schemes", "run_sweep", "diversity_slope"]
+__all__ = ["RunConfig", "BerEstimate", "run_point_schemes", "run_sweep", "diversity_slope"]
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
 
@@ -32,7 +31,6 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
 class RunConfig:
     scenario: Scenario
     M: int = 2
-    scheme: Scheme = Scheme.TVD
     p_db_grid: tuple = (0.0,)
     min_bit_errors: int = 200
     max_symbols: int = 10**8
@@ -52,6 +50,8 @@ class RunConfig:
         for name in ("frame_len", "max_symbols", "frames_per_chunk"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.max_symbols < self.frame_len:
+            raise ValueError("max_symbols must be >= frame_len (the budget is counted in whole frames)")
 
 
 @dataclass
@@ -73,19 +73,15 @@ def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
     return np.random.default_rng(ss)
 
 
-def _generate_chunk(config: RunConfig, pa: PowerAllocation, const: Constellation, rng, n_frames: int):
+def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Constellation, rng, n_frames: int):
     """One chunk of independent frames: data and destination observations.
 
-    Draw order is fixed for reproducibility: data, h_sd, the cascade (h_rd
-    first), then noise.  Returns (data, y_sd, y_rd, h_rd) with observation
-    shape (n_frames, L+1).
+    `specs` are the (sd, sr, rd) link FadingSpecs.  Draw order is fixed for
+    reproducibility: data, h_sd, the cascade (h_rd first), then noise.
+    Returns (data, y_sd, y_rd, h_rd) with observation shape (n_frames, L+1).
     """
-    scn = config.scenario
+    spec_sd, spec_sr, spec_rd = specs
     L = config.frame_len
-    spec_sd = FadingSpec(scn.f_sd, config.lag_n, config.generator)
-    spec_sr = FadingSpec(scn.f_sr, config.lag_n, config.generator)
-    spec_rd = FadingSpec(scn.f_rd, config.lag_n, config.generator)
-
     data = rng.integers(0, const.M, (n_frames, L))
     tx_idx = const.index_of_gray[data]  # Gray bit patterns -> symbol indices
     s = diff_encode(tx_idx, const)
@@ -108,39 +104,36 @@ def _scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, pa: PowerAllo
 def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
     """Simulate one power level for several schemes over shared channel draws.
 
-    Runs until every scheme has min_bit_errors or max_symbols is reached.
-    Returns {scheme: BerEstimate}.
+    Runs until every scheme has min_bit_errors or the symbol budget of
+    max_symbols // frame_len whole frames is spent.  Returns {scheme: BerEstimate}.
     """
     schemes = list(schemes)
     pa = PowerAllocation.equal_from_total_db(p_db)
     const = Constellation.of(config.M)
     scn = config.scenario
-    alpha_sd = autocorr(FadingSpec(scn.f_sd, config.lag_n))
-    alpha = autocorr(FadingSpec(scn.f_sr, config.lag_n)) * autocorr(
-        FadingSpec(scn.f_rd, config.lag_n)
-    )
+    alpha_sd, alpha = scn.autocorrs(config.lag_n)
+    specs = tuple(FadingSpec(f, config.lag_n, config.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+    max_frames = config.max_symbols // config.frame_len
     errors = {s: 0 for s in schemes}
-    bits = 0
-    symbols = 0
+    frames = 0
     chunk_index = 0
-    while min(errors.values()) < config.min_bit_errors and symbols < config.max_symbols:
-        remaining = config.max_symbols - symbols
-        n_frames = min(config.frames_per_chunk, max(1, remaining // config.frame_len))
+    while min(errors.values()) < config.min_bit_errors and frames < max_frames:
+        n_frames = min(config.frames_per_chunk, max_frames - frames)
         rng = _chunk_rng(config, p_db, chunk_index)
-        data, y_sd, y_rd, h_rd = _generate_chunk(config, pa, const, rng, n_frames)
+        data, y_sd, y_rd, h_rd = _generate_chunk(config, specs, pa, const, rng, n_frames)
         for scheme in schemes:
             weights = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd)
             zeta = receiver.combine(y_sd, y_rd, weights)
             detected = receiver.detect(zeta, const)
             rx_data = const.gray_of_index[detected]
             errors[scheme] += int(_POPCOUNT[data ^ rx_data].sum())
-        bits += n_frames * config.frame_len * const.bits_per_symbol
-        symbols += n_frames * config.frame_len
+        frames += n_frames
         chunk_index += 1
+    bits = frames * config.frame_len * const.bits_per_symbol
     out = {}
     for scheme in schemes:
-        ber = errors[scheme] / bits if bits else 0.0
-        ci = 1.96 * np.sqrt(ber * (1.0 - ber) / bits) if bits else 0.0
+        ber = errors[scheme] / bits
+        ci = 1.96 * np.sqrt(ber * (1.0 - ber) / bits)
         out[scheme] = BerEstimate(
             p_db,
             scheme,
@@ -153,14 +146,15 @@ def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
     return out
 
 
-def run_point(config: RunConfig, p_db: float) -> BerEstimate:
-    """Simulate one power level until min_bit_errors or max_symbols is reached."""
-    return run_point_schemes(config, p_db, [config.scheme])[config.scheme]
+def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
+    """run_point_schemes at every point of config.p_db_grid; deterministic given master_seed.
 
-
-def run_sweep(config: RunConfig) -> list[BerEstimate]:
-    """Map run_point over the power grid; deterministic given master_seed."""
-    return [run_point(config, p) for p in config.p_db_grid]
+    Returns a flat list in scheme-major order: every point of the first
+    scheme, then every point of the next.
+    """
+    schemes = list(schemes)
+    points = [run_point_schemes(config, p_db, schemes) for p_db in config.p_db_grid]
+    return [point[scheme] for scheme in schemes for point in points]
 
 
 def diversity_slope(estimates: list[BerEstimate], p_low_db: float, p_high_db: float) -> float:

@@ -33,7 +33,6 @@ class CombinerWeights:
     b1 may be an array for the genie scheme, which tracks |h_rd| per symbol.
     """
 
-    scheme: Scheme
     b0: float
     b1: float | np.ndarray
 
@@ -48,14 +47,14 @@ def weights_cdd(A: float) -> CombinerWeights:
     """Classical weights, derived for quasi-static fading."""
     if A <= 0:
         raise ValueError("A must be positive")
-    return CombinerWeights(Scheme.CDD, 0.5, 1.0 / (2.0 * (1.0 + A * A)))
+    return CombinerWeights(0.5, 1.0 / (2.0 * (1.0 + A * A)))
 
 
 def weights_tvd(alpha_sd: float, alpha: float, P0: float, A: float) -> CombinerWeights:
     """Autocorrelation-aware weights built from the average equivalent-noise powers."""
     b0 = alpha_sd / (1.0 + alpha_sd**2 + (1.0 - alpha_sd**2) * P0)
     b1 = alpha / ((1.0 + alpha**2) * (1.0 + A * A) + (1.0 - alpha**2) * A * A * P0)
-    return CombinerWeights(Scheme.TVD, b0, b1)
+    return CombinerWeights(b0, b1)
 
 
 def noise_variances(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_sample) -> NoiseVariances:
@@ -77,7 +76,7 @@ def weights_opt_genie(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_s
     """
     nv = noise_variances(alpha_sd, alpha, P0, A, h_rd_sample)
     b1 = alpha / nv.sigma_n_rd_sq
-    return CombinerWeights(Scheme.OPT_GENIE, alpha_sd / nv.sigma_n_sd_sq, b1)
+    return CombinerWeights(alpha_sd / nv.sigma_n_sd_sq, b1)
 
 
 def combine(y_sd, y_rd, weights: CombinerWeights):

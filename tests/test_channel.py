@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from dafrelay.channel import (
     SCENARIOS,
@@ -18,6 +18,7 @@ from dafrelay.channel import (
     rayleigh_pdf,
     validate_stats,
 )
+from dafrelay.channel import _HIST_EDGES, _HIST_MASSES
 from dafrelay.specials import bessel_j0
 
 
@@ -32,6 +33,18 @@ class TestSpecsAndScenarios:
             bessel_j0(4 * np.pi * 0.01), abs=0
         )
         assert autocorr(FadingSpec(0.0)) == 1.0
+
+    @pytest.mark.parametrize("lag_n", [1, 2])
+    @pytest.mark.parametrize("name", ["I", "II", "III"])
+    def test_scenario_autocorrs_are_j0_products(self, name, lag_n):
+        scn = SCENARIOS[name]
+
+        def j0(f):
+            return special.j0(2 * np.pi * f * lag_n)
+
+        alpha_sd, alpha = scn.autocorrs(lag_n)
+        assert alpha_sd == pytest.approx(j0(scn.f_sd), rel=1e-15)
+        assert alpha == pytest.approx(j0(scn.f_sr) * j0(scn.f_rd), rel=1e-15)
 
     def test_doppler_domain(self):
         with pytest.raises(ValueError):
@@ -204,6 +217,15 @@ class TestEnvelopeDistribution:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             envelope_pdf_theoretical(-0.5)
+
+    def test_chi_square_bin_masses_match_pdf_quadrature(self):
+        # oracle: the density integrated over each bin, plus the tail mass
+        # int_5^inf 4x K0(2x) dx = 10 K1(10) in the last bin
+        quad = np.array(
+            [integrate.quad(envelope_pdf_theoretical, a, b)[0] for a, b in zip(_HIST_EDGES[:-1], _HIST_EDGES[1:])]
+        )
+        quad[-1] += 10.0 * special.k1(10.0)
+        np.testing.assert_allclose(_HIST_MASSES, quad, rtol=1e-8)
 
     def test_chi_square_accepts_true_distribution(self):
         rng = rng_for(12)

@@ -146,7 +146,9 @@ class TestSweepCommand:
         assert rc == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", ["generator = foo", "cascaded = foo", "min_bit_error = 60"])
+    @pytest.mark.parametrize(
+        "extra", ["generator = foo", "cascaded = foo", "min_bit_error = 60", "f_sd = 0.3\nf_sr = 0.3\nf_rd = 0.3"]
+    )
     def test_bad_config_entry_exits_usage(self, tmp_path, capsys, extra):
         cfg = write_cfg(tmp_path, extra)
         rc = main(["sweep", "--scenario", "I", "--pdb", "10", "--no-sim", "--config", cfg])

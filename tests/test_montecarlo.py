@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dafrelay.analysis import pep_point
 from dafrelay.channel import (
@@ -15,7 +17,6 @@ from dafrelay.montecarlo import (
     BerEstimate,
     RunConfig,
     diversity_slope,
-    run_point,
     run_point_schemes,
     run_sweep,
 )
@@ -29,11 +30,14 @@ FAST = dict(
 )
 
 
+def run_one(cfg, p_db, scheme=Scheme.TVD):
+    return run_point_schemes(cfg, p_db, [scheme])[scheme]
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig(scenario=SCENARIOS["I"])
         assert cfg.M == 2
-        assert cfg.scheme is Scheme.TVD
         assert cfg.min_bit_errors == 200
         assert cfg.max_symbols == 10**8
         assert cfg.frame_len == 10**4
@@ -43,7 +47,8 @@ class TestRunConfig:
             RunConfig(scenario=SCENARIOS["I"], p_db_grid=())
         with pytest.raises(ValueError):
             RunConfig(scenario=SCENARIOS["I"], min_bit_errors=10)
-        for bad in (dict(frame_len=0), dict(max_symbols=0), dict(frames_per_chunk=0)):
+        for bad in (dict(frame_len=0), dict(max_symbols=0), dict(frames_per_chunk=0),
+                    dict(max_symbols=999, frame_len=1000)):
             with pytest.raises(ValueError):
                 RunConfig(scenario=SCENARIOS["I"], **bad)
 
@@ -51,7 +56,7 @@ class TestRunConfig:
 class TestStoppingRules:
     def test_error_target_reached(self):
         cfg = RunConfig(scenario=SCENARIOS["I"], p_db_grid=(5.0,), master_seed=1, **FAST)
-        est = run_point(cfg, 5.0)
+        est = run_one(cfg, 5.0)
         assert est.bit_errors >= cfg.min_bit_errors
         assert not est.truncated
         assert est.bits > 0
@@ -68,13 +73,37 @@ class TestStoppingRules:
             frame_len=10**3,
             generator=FadingGenerator.AR1,
         )
-        est = run_point(cfg, 40.0)
+        est = run_one(cfg, 40.0)
         assert est.truncated
         assert est.bits == 3 * 10**4
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        frame_len=st.integers(10, 200),
+        extra=st.integers(0, 600),
+        frames_per_chunk=st.integers(1, 4),
+        min_bit_errors=st.integers(50, 400),
+        M=st.sampled_from([2, 4]),
+        p_db=st.sampled_from([0.0, 10.0, 30.0]),
+    )
+    def test_budget_is_a_hard_cap(self, frame_len, extra, frames_per_chunk, min_bit_errors, M, p_db):
+        cfg = RunConfig(
+            scenario=SCENARIOS["II"],
+            M=M,
+            p_db_grid=(p_db,),
+            min_bit_errors=min_bit_errors,
+            max_symbols=frame_len + extra,
+            frame_len=frame_len,
+            frames_per_chunk=frames_per_chunk,
+            generator=FadingGenerator.AR1,
+        )
+        est = run_one(cfg, p_db)
+        assert 0 < est.bits <= cfg.max_symbols * np.log2(M)
+        assert est.truncated == (est.bit_errors < min_bit_errors)
+
     def test_ci_formula(self):
         cfg = RunConfig(scenario=SCENARIOS["I"], p_db_grid=(5.0,), master_seed=2, **FAST)
-        est = run_point(cfg, 5.0)
+        est = run_one(cfg, 5.0)
         expected = 1.96 * np.sqrt(est.ber * (1 - est.ber) / est.bits)
         assert est.ci95_halfwidth == pytest.approx(expected, rel=1e-12)
 
@@ -82,23 +111,26 @@ class TestStoppingRules:
 class TestDeterminism:
     def test_identical_runs(self):
         cfg = RunConfig(scenario=SCENARIOS["II"], p_db_grid=(10.0,), master_seed=3, **FAST)
-        a = run_point(cfg, 10.0)
-        b = run_point(cfg, 10.0)
+        a = run_one(cfg, 10.0)
+        b = run_one(cfg, 10.0)
         assert (a.bit_errors, a.bits, a.ber) == (b.bit_errors, b.bits, b.ber)
 
     def test_seed_changes_outcome(self):
         base = dict(scenario=SCENARIOS["II"], p_db_grid=(10.0,), **FAST)
-        a = run_point(RunConfig(master_seed=4, **base), 10.0)
-        b = run_point(RunConfig(master_seed=5, **base), 10.0)
+        a = run_one(RunConfig(master_seed=4, **base), 10.0)
+        b = run_one(RunConfig(master_seed=5, **base), 10.0)
         assert a.bit_errors != b.bit_errors
 
     def test_sweep_is_pointwise_reproducible(self):
         grid = (5.0, 10.0)
+        schemes = [Scheme.CDD, Scheme.TVD]
         cfg = RunConfig(scenario=SCENARIOS["I"], p_db_grid=grid, master_seed=6, **FAST)
-        sweep = run_sweep(cfg)
-        assert [e.P_dB for e in sweep] == list(grid)
-        again = run_point(cfg, 10.0)
-        assert sweep[1].bit_errors == again.bit_errors
+        sweep = run_sweep(cfg, schemes)
+        # scheme-major: every point of CDD, then every point of TVD
+        assert [(e.scheme, e.P_dB) for e in sweep] == [(s, p) for s in schemes for p in grid]
+        again = run_point_schemes(cfg, 10.0, schemes)
+        assert sweep[1] == again[Scheme.CDD]
+        assert sweep[3] == again[Scheme.TVD]
 
 
 class TestPairedSchemes:
@@ -109,7 +141,7 @@ class TestPairedSchemes:
         bits = {e.bits for e in paired.values()}
         assert len(bits) == 1  # same generated symbols for every scheme
         # separate single-scheme run sees the same channel/noise stream
-        solo = run_point(RunConfig(scenario=SCENARIOS["I"], p_db_grid=(10.0,), master_seed=7, scheme=Scheme.CDD, **FAST), 10.0)
+        solo = run_one(RunConfig(scenario=SCENARIOS["I"], p_db_grid=(10.0,), master_seed=7, **FAST), 10.0, Scheme.CDD)
         # the paired run may stop later (waits for all schemes), so compare
         # the common prefix through equal bit counts only when they match
         if solo.bits == paired[Scheme.CDD].bits:
@@ -139,7 +171,7 @@ class TestAgainstTheory:
             frame_len=500,
             generator=FadingGenerator.AR1,
         )
-        est = run_point(cfg, 15.0)
+        est = run_one(cfg, 15.0)
         alpha_sd = autocorr(FadingSpec(scn.f_sd))
         alpha = autocorr(FadingSpec(scn.f_sr)) * autocorr(FadingSpec(scn.f_rd))
         theory = pep_point(alpha_sd, alpha, 15.0, 2).ber
@@ -147,8 +179,8 @@ class TestAgainstTheory:
 
     def test_dqpsk_higher_ber_than_dbpsk(self):
         base = dict(scenario=SCENARIOS["I"], p_db_grid=(12.0,), master_seed=10, **FAST)
-        b2 = run_point(RunConfig(M=2, **base), 12.0)
-        b4 = run_point(RunConfig(M=4, **base), 12.0)
+        b2 = run_one(RunConfig(M=2, **base), 12.0)
+        b4 = run_one(RunConfig(M=4, **base), 12.0)
         assert b4.ber > b2.ber
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
 from dafrelay.receiver import (
-    Scheme,
     combine,
     detect,
     noise_variances,
@@ -20,7 +19,6 @@ class TestCddWeights:
         w = weights_cdd(1.0)
         assert w.b0 == 0.5
         assert w.b1 == 0.25
-        assert w.scheme is Scheme.CDD
 
     def test_equal_power_30db(self):
         # P = 1000, P0 = 500, A = sqrt(500/501): b1 = 1/(2(1+A^2)) = 501/2002

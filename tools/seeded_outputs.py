@@ -1,0 +1,77 @@
+"""Write the seeded outputs that a behaviour-preserving change must leave byte-identical.
+
+Usage (from any directory):
+
+    python3 tools/seeded_outputs.py OUTDIR
+
+Runs the `dafrelay` command line of the checkout this file belongs to (its
+`src/` goes first on the import path) in-process and writes into OUTDIR:
+
+- `sweep_<gen>_<cascade>_<scenario>_m<M>_<scheme>.csv` for ar1/sos x
+  exact/approx x scenarios I-III x M=2,4 x `--scheme all|tvd`, seed 1,
+  `--pdb 0:10:50`, frame_len 1000, max_symbols 1e5, min_bit_errors 300;
+- `validate_<scenario>.txt`: `validate-channel` for I-III, 10^6 samples, seed 3;
+- `theory_<scenario>_m<M>.csv`: `sweep --no-sim --scheme all` on 0:0.5:60;
+- `SHA256SUMS`, one `sha256sum`-format line per output, sorted by name.
+
+To check a change, run this file from the parent checkout and from the change
+(copy it into the parent if it predates it) and compare the two SHA256SUMS.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from dafrelay.cli import main as dafrelay_main  # noqa: E402
+
+SCENARIOS = ("I", "II", "III")
+ORDERS = (2, 4)
+SWEEP_CONFIG = "generator = {gen}\ncascaded = {cascade}\nframe_len = 1000\nmax_symbols = 100000\nmin_bit_errors = 300\n"
+
+
+def commands(cfgdir: Path):
+    """(output name, CLI argv) for every seeded output."""
+    for gen in ("ar1", "sos"):
+        for cascade in ("exact", "approx"):
+            cfg = cfgdir / f"{gen}_{cascade}.cfg"
+            cfg.write_text(SWEEP_CONFIG.format(gen=gen, cascade=cascade))
+            for scn in SCENARIOS:
+                for m in ORDERS:
+                    for scheme in ("all", "tvd"):
+                        name = f"sweep_{gen}_{cascade}_{scn}_m{m}_{scheme}.csv"
+                        yield name, ["sweep", "--config", str(cfg), "--scenario", scn, "--m", str(m),
+                                     "--scheme", scheme, "--pdb", "0:10:50", "--seed", "1"]
+    for scn in SCENARIOS:
+        yield f"validate_{scn}.txt", ["validate-channel", "--scenario", scn, "--samples", "1000000",
+                                      "--seed", "3"]
+    for scn in SCENARIOS:
+        for m in ORDERS:
+            yield f"theory_{scn}_m{m}.csv", ["sweep", "--no-sim", "--scheme", "all", "--scenario", scn,
+                                             "--m", str(m), "--pdb", "0:0.5:60"]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.stderr.write("usage: seeded_outputs.py OUTDIR\n")
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    sums = []
+    with tempfile.TemporaryDirectory() as cfgdir:
+        for name, args in commands(Path(cfgdir)):
+            path = outdir / name
+            rc = dafrelay_main(args + ["--out", str(path)])
+            if rc != 0:
+                sys.stderr.write(f"{name}: dafrelay {' '.join(args)} exited {rc}\n")
+                return 1
+            sums.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
+    (outdir / "SHA256SUMS").write_text("".join(sorted(sums, key=lambda line: line.split()[1])))
+    print(f"{len(sums)} outputs written to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
