@@ -18,7 +18,7 @@ from dafrelay.channel import (
     rayleigh_pdf,
     validate_stats,
 )
-from dafrelay.channel import _HIST_EDGES, _HIST_MASSES
+from dafrelay.channel import _HIST_EDGES, _HIST_MASSES, _N_SINUSOIDS
 from dafrelay.specials import bessel_j0
 
 
@@ -91,6 +91,31 @@ class TestSingleLinkGenerators:
         assert abs(st.mean) < 0.01
         assert st.variance == pytest.approx(1.0, abs=0.01)
         assert st.lag1_autocorr == pytest.approx(autocorr(spec), abs=0.01)
+
+    @pytest.mark.parametrize(
+        "length, realizations, f", [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, None, 0.05)]
+    )
+    def test_sos_matches_cosine_sum(self, length, realizations, f):
+        # oracle: the classical improved-Jakes form, one cos per sinusoid and sample,
+        # on the same draws (theta, then phi, then psi)
+        spec = FadingSpec(f, generator=FadingGenerator.SUM_OF_SINUSOIDS)
+        rng = rng_for(17)
+        h = gen_fading(spec, length, rng, realizations)
+        ref_rng = rng_for(17)
+        n_real = 1 if realizations is None else realizations
+        theta = ref_rng.uniform(-np.pi, np.pi, (n_real, 1))
+        phi = ref_rng.uniform(-np.pi, np.pi, (n_real, _N_SINUSOIDS, 1))
+        psi = ref_rng.uniform(-np.pi, np.pi, (n_real, _N_SINUSOIDS, 1))
+        alpha_n = (2 * np.pi * np.arange(1, _N_SINUSOIDS + 1) - np.pi + theta) / (4 * _N_SINUSOIDS)
+        wk = 2 * np.pi * f * np.arange(length)
+        hc = np.cos(np.cos(alpha_n)[:, :, None] * wk + phi).sum(axis=1)
+        hs = np.cos(np.sin(alpha_n)[:, :, None] * wk + psi).sum(axis=1)
+        ref = (hc + 1j * hs) / np.sqrt(_N_SINUSOIDS)
+        if realizations is None:
+            ref = ref[0]
+        assert h.shape == ref.shape
+        np.testing.assert_allclose(h, ref, rtol=0, atol=1e-10)
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_sos_lag_profile_tracks_j0(self):
         # lag-k autocorrelation follows J0(2 pi f k) for k <= 20 within 0.02
@@ -226,6 +251,19 @@ class TestEnvelopeDistribution:
         )
         quad[-1] += 10.0 * special.k1(10.0)
         np.testing.assert_allclose(_HIST_MASSES, quad, rtol=1e-8)
+
+    def test_chi_square_counts_top_edge_once(self):
+        # a sample exactly on the top edge and one just above it both belong in the tail bin
+        rng = rng_for(18)
+        n = 20_000
+        lam = np.abs(
+            (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        ) / 2.0
+        on_edge, above = lam.copy(), lam.copy()
+        on_edge[:3] = _HIST_EDGES[-1]
+        above[:3] = _HIST_EDGES[-1] + 1e-9
+        assert envelope_chi_square(on_edge) == envelope_chi_square(above)
 
     def test_chi_square_accepts_true_distribution(self):
         rng = rng_for(12)
