@@ -8,6 +8,7 @@ high-SNR form of the relayed-branch SNR term (the 2/rho correction drops out
 of the inner integral); the exposed `gamma_rd` keeps the full expression.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,30 +117,38 @@ def i1_closed_form(theta, params: PepParams):
     return (eps1 * (1.0 + (beta1 - beta2) * exp_e1_scaled(beta2)))[()]
 
 
-def _pep_quadrature(params: PepParams, order: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(order)
-    theta = (x + 1.0) * (np.pi / 4.0)
-    wt = w * (np.pi / 4.0)
-    gsd = gamma_sd(params)
-    integrand = i1_closed_form(theta, params) / (
-        1.0 + gsd * params.d_min_sq / (2.0 * np.sin(theta) ** 2)
-    )
-    return float(np.sum(wt * integrand) / np.pi)
-
-
 _QUAD_ORDER = 64
 _QUAD_CHECK_ORDER = 128
 _QUAD_RTOL = 1e-9
+
+
+@functools.cache
+def _theta_rule():
+    """Gauss-Legendre nodes on (0, pi/2), weights and sin^2(theta) of both orders, concatenated.
+
+    The first _QUAD_ORDER entries are the order-64 rule, the rest the order-128
+    rule.  Built on first use; the arrays are read-only because every call shares them.
+    """
+    nodes, weights = zip(*(np.polynomial.legendre.leggauss(n) for n in (_QUAD_ORDER, _QUAD_CHECK_ORDER)))
+    theta = (np.concatenate(nodes) + 1.0) * (np.pi / 4.0)
+    rule = theta, np.concatenate(weights) * (np.pi / 4.0), np.sin(theta) ** 2
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def pep(params: PepParams) -> float:
     """Unconditioned pairwise error probability of the nearest-neighbour event.
 
     Gauss-Legendre quadrature over theta in (0, pi/2), with an order-doubling
-    refinement check at relative tolerance 1e-9.
+    refinement check at relative tolerance 1e-9.  The integrand is evaluated
+    once over the nodes of both orders.
     """
-    v = _pep_quadrature(params, _QUAD_ORDER)
-    v_ref = _pep_quadrature(params, _QUAD_CHECK_ORDER)
+    theta, wt, s2 = _theta_rule()
+    integrand = i1_closed_form(theta, params) / (1.0 + gamma_sd(params) * params.d_min_sq / (2.0 * s2))
+    terms = wt * integrand
+    v = float(np.sum(terms[:_QUAD_ORDER]) / np.pi)
+    v_ref = float(np.sum(terms[_QUAD_ORDER:]) / np.pi)
     if abs(v - v_ref) > _QUAD_RTOL * max(abs(v_ref), 1e-300):
         raise QuadratureError(
             f"theta-quadrature did not converge: {v!r} vs {v_ref!r} at refinement"

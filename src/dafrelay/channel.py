@@ -131,6 +131,9 @@ def _gen_ar1(alpha, length, rng, n_real):
 
 
 _N_SINUSOIDS = 16  # sinusoid pairs; keeps autocorr error below test tolerances
+# output elements of one gemm in _gen_sos: the (100, 2N) @ (2N, 101) call of a 10^4-sample frame.
+# OpenBLAS runs larger calls on several threads, which stall intermittently on small VMs.
+_SOS_GEMM_OUT = 100 * 101
 
 
 def _gen_sos(f_eff, length, rng, n_real):
@@ -139,7 +142,9 @@ def _gen_sos(f_eff, length, rng, n_real):
     theta, phi, psi are drawn as in the classical form sum_n cos(w_n*k + phi_n), whose terms this
     matches one by one, so the rng state after the call is the same.  With k = b*B + j, B = ceil(sqrt(length)):
     cos(w*k + phi) = Re{exp(i(w*b*B + phi)) exp(i*w*j)} = [cos, -sin](w*b*B + phi) . [cos, sin](w*j), so
-    each component is one real (R, nb, 2N) @ (R, 2N, B) matmul, every angle computed directly (no recurrence).
+    each component is one real matmul of [cos, -sin] rows by [cos, sin] columns, every angle computed directly
+    (no recurrence).  The nb block rows of a realization are split into groups of at most _SOS_GEMM_OUT // B
+    rows, so that each (rows, 2N) @ (2N, B) gemm stays small; up to 10^4 samples there is one group.
     """
     n = np.arange(1, _N_SINUSOIDS + 1)
     theta = rng.uniform(-np.pi, np.pi, (n_real, 1))
@@ -148,12 +153,15 @@ def _gen_sos(f_eff, length, rng, n_real):
     alpha_n = (2.0 * np.pi * n - np.pi + theta) / (4.0 * _N_SINUSOIDS)
     wd = 2.0 * np.pi * f_eff
     block = int(np.ceil(np.sqrt(length)))
-    starts = block * np.arange(-(-length // block))[:, None]
+    n_blocks = -(-length // block)
+    groups = -(-n_blocks // max(1, _SOS_GEMM_OUT // block))
+    rows = -(-n_blocks // groups)
+    starts = block * np.arange(groups * rows).reshape(groups, rows, 1)
 
     def component(w, phase):
-        a = w[:, None, :] * starts + phase[:, None, :]
+        a = w[:, None, None, :] * starts + phase[:, None, None, :]
         b = w[:, :, None] * np.arange(block)
-        blocks = np.concatenate((np.cos(a), -np.sin(a)), axis=2) @ np.concatenate((np.cos(b), np.sin(b)), axis=1)
+        blocks = np.concatenate((np.cos(a), -np.sin(a)), axis=3) @ np.concatenate((np.cos(b), np.sin(b)), axis=1)[:, None]
         return blocks.reshape(n_real, -1)[:, :length] / np.sqrt(_N_SINUSOIDS)
 
     return component(wd * np.cos(alpha_n), phi) + 1j * component(wd * np.sin(alpha_n), psi)

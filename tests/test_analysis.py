@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from dafrelay import analysis
 from dafrelay.analysis import (
     PepParams,
     error_floor,
@@ -139,6 +140,19 @@ class TestPep:
             p = params_for(0.05, 0.05, 0.01, p_db, 2)
             assert pep_upper_bound(p) >= pep(p)
             assert pep_upper_bound(p) < 0.5
+
+    def test_matches_independent_gauss_legendre_rule(self):
+        # oracle: the order-128 rule built here, from nodes on (-1, 1) mapped to (0, pi/2)
+        x, w = np.polynomial.legendre.leggauss(128)
+        theta = (x + 1.0) * np.pi / 4.0
+        for args in ((0.01, 0.01, 0.001, 20.0, 2), (0.05, 0.05, 0.01, -10.0, 4), (0.05, 0.01, 0.001, 60.0, 2)):
+            p = params_for(*args)
+            direct = 1.0 + gamma_sd(p) * p.d_min_sq / (2.0 * np.sin(theta) ** 2)
+            ref = np.sum(w * np.pi / 4.0 * i1_closed_form(theta, p) / direct) / np.pi
+            assert pep(p) == pytest.approx(ref, rel=1e-14)
+        nodes = analysis._theta_rule()[0]
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
     def test_faster_fading_is_worse(self):
         p_db = 30.0

@@ -93,7 +93,9 @@ class TestSingleLinkGenerators:
         assert st.lag1_autocorr == pytest.approx(autocorr(spec), abs=0.01)
 
     @pytest.mark.parametrize(
-        "length, realizations, f", [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, None, 0.05)]
+        "length, realizations, f",
+        # (100001, 2): its 316 block rows are split into several gemm groups
+        [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, None, 0.05), (100001, 2, 0.05)],
     )
     def test_sos_matches_cosine_sum(self, length, realizations, f):
         # oracle: the classical improved-Jakes form, one cos per sinusoid and sample,

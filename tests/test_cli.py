@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from dafrelay import analysis
 from dafrelay.cli import (
     CSV_HEADER,
+    EXIT_NUMERIC,
     EXIT_USAGE,
     doppler_normalized,
     main,
@@ -158,6 +160,13 @@ class TestSweepCommand:
     def test_missing_scenario_exits_usage(self, capsys):
         rc = main(["sweep", "--m", "2", "--pdb", "10", "--no-sim"])
         assert rc == EXIT_USAGE
+
+    def test_quadrature_failure_exits_numeric(self, monkeypatch, capsys):
+        # a negative tolerance fails every refinement check
+        monkeypatch.setattr(analysis, "_QUAD_RTOL", -1.0)
+        rc = main(["sweep", "--scenario", "I", "--m", "2", "--scheme", "tvd", "--pdb", "10", "--no-sim"])
+        assert rc == EXIT_NUMERIC
+        assert "numeric failure:" in capsys.readouterr().err
 
     def test_malformed_grid_exits_usage(self):
         assert main(["sweep", "--scenario", "I", "--pdb", "5:1", "--no-sim"]) == EXIT_USAGE
