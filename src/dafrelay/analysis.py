@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import Constellation
+from .link import PowerAllocation, psk_d_min_sq
 from .specials import exp_e1_scaled
 
 __all__ = [
@@ -56,11 +56,8 @@ class PepParams:
     @classmethod
     def for_link(cls, alpha_sd: float, alpha: float, p_db: float, M: int) -> "PepParams":
         """Equal power allocation at total power p_db (dB)."""
-        from .link import PowerAllocation
-
         pa = PowerAllocation.equal_from_total_db(p_db)
-        d2 = Constellation.of(M).d_min_sq
-        return cls(pa.P0, pa.A, alpha_sd, alpha, d2, M)
+        return cls(pa.P0, pa.A, alpha_sd, alpha, psk_d_min_sq(M), M)
 
 
 @dataclass

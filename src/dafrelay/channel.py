@@ -108,8 +108,16 @@ def autocorr(spec: FadingSpec) -> float:
 
 
 def _crandn(rng, shape):
-    """i.i.d. CN(0,1) samples (variance split evenly across components)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """i.i.d. CN(0,1) samples: the stream and the bits of (re + 1j*im) / sqrt(2), from one float buffer.
+
+    numpy divides a complex array by a real scalar as a multiply by its reciprocal, so each part
+    is multiplied by 1/sqrt(2); dividing the parts by sqrt(2) would change some last bits.
+    """
+    scale = 1.0 / np.sqrt(2.0)
+    part = rng.standard_normal(shape)
+    z = np.multiply(part, scale, dtype=complex)
+    np.multiply(rng.standard_normal(out=part), scale, out=z.imag)
+    return z
 
 
 def _gen_ar1(alpha, length, rng, n_real):

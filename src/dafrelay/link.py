@@ -11,8 +11,16 @@ __all__ = [
     "PowerAllocation",
     "LinkObservation",
     "diff_encode",
+    "psk_d_min_sq",
     "transmit",
 ]
+
+
+def psk_d_min_sq(M: int) -> float:
+    """Squared minimum distance 4 sin^2(pi/M) of unit-energy M-PSK, M a power of 2 >= 2."""
+    if M < 2 or M & (M - 1):
+        raise ValueError(f"M must be a power of 2 >= 2, got {M}")
+    return float(4.0 * np.sin(np.pi / M) ** 2)
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,7 @@ class Constellation:
 
     @classmethod
     def of(cls, M: int) -> "Constellation":
-        if M < 2 or M & (M - 1):
-            raise ValueError(f"M must be a power of 2 >= 2, got {M}")
+        d_min_sq = psk_d_min_sq(M)
         m = np.arange(M)
         symbols = np.exp(2j * np.pi * m / M)
         # the reference point and any symbols on the axes are exact
@@ -46,7 +53,7 @@ class Constellation:
         gray = m ^ (m >> 1)
         inv = np.empty(M, dtype=int)
         inv[gray] = m
-        return cls(M, symbols, gray, inv, float(4.0 * np.sin(np.pi / M) ** 2))
+        return cls(M, symbols, gray, inv, d_min_sq)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -112,9 +119,15 @@ def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng, with_noise: bool = T
     """
     s = np.asarray(s)
     if with_noise:
-        w_sd, w_sr, w_rd = (_crandn(rng, s.shape) for _ in range(3))
+        y_sd, w_sr, y_rd = (_crandn(rng, s.shape) for _ in range(3))
     else:
-        w_sd = w_sr = w_rd = 0.0
-    y_sd = np.sqrt(power.P0) * h_sd * s + w_sd
-    y_rd = power.A * np.sqrt(power.P0) * h * s + (power.A * h_rd * w_sr + w_rd)
+        y_sd, w_sr, y_rd = (np.zeros(s.shape, dtype=complex) for _ in range(3))
+    # (sqrt(P0) h_sd) s + w_sd and (A sqrt(P0) h) s + ((A h_rd) w_sr + w_rd), summed in place, w_sr as
+    # scratch; each product keeps its operand order, as numpy's complex multiply is not bitwise commutative
+    np.multiply(power.A * h_rd, w_sr, out=w_sr)
+    y_rd += w_sr
+    for y, gain, g in ((y_sd, np.sqrt(power.P0), h_sd), (y_rd, power.A * np.sqrt(power.P0), h)):
+        np.multiply(gain, g, out=w_sr)
+        w_sr *= s
+        y += w_sr
     return LinkObservation(y_sd, y_rd)

@@ -24,9 +24,6 @@ from .receiver import Scheme
 
 __all__ = ["RunConfig", "BerEstimate", "run_point_schemes", "run_sweep", "diversity_slope"]
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
-
-
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
@@ -121,12 +118,10 @@ def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
         n_frames = min(config.frames_per_chunk, max_frames - frames)
         rng = _chunk_rng(config, p_db, chunk_index)
         data, y_sd, y_rd, h_rd = _generate_chunk(config, specs, pa, const, rng, n_frames)
+        d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
         for scheme in schemes:
-            weights = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd)
-            zeta = receiver.combine(y_sd, y_rd, weights)
-            detected = receiver.detect(zeta, const)
-            rx_data = const.gray_of_index[detected]
-            errors[scheme] += int(_POPCOUNT[data ^ rx_data].sum())
+            zeta = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd).apply(d_sd, d_rd)
+            errors[scheme] += int(receiver.frame_bit_errors(zeta, data, const).sum())
         frames += n_frames
         chunk_index += 1
     bits = frames * config.frame_len * const.bits_per_symbol

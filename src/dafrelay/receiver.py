@@ -15,8 +15,10 @@ __all__ = [
     "weights_tvd",
     "weights_opt_genie",
     "noise_variances",
+    "diff_products",
     "combine",
     "detect",
+    "frame_bit_errors",
 ]
 
 
@@ -35,6 +37,10 @@ class CombinerWeights:
 
     b0: float
     b1: float | np.ndarray
+
+    def apply(self, d_sd, d_rd):
+        """zeta = b0 d_sd + b1 d_rd over the differential products of the two branches."""
+        return self.b0 * d_sd + self.b1 * d_rd
 
 
 @dataclass(frozen=True)
@@ -79,17 +85,18 @@ def weights_opt_genie(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_s
     return CombinerWeights(alpha_sd / nv.sigma_n_sd_sq, b1)
 
 
+def diff_products(y_sd, y_rd):
+    """Differential products conj(y[k-1]) y[k] of both branches along the last axis."""
+    return tuple(np.conj(y[..., :-1]) * y[..., 1:] for y in (np.asarray(y_sd), np.asarray(y_rd)))
+
+
 def combine(y_sd, y_rd, weights: CombinerWeights):
     """Differential two-branch combiner over consecutive observations.
 
     Inputs are observation sequences (last axis of length >= 2); the output has
     one fewer entry: zeta[k] = b0 conj(y_sd[k-1]) y_sd[k] + b1 conj(y_rd[k-1]) y_rd[k].
     """
-    y_sd = np.asarray(y_sd)
-    y_rd = np.asarray(y_rd)
-    d_sd = np.conj(y_sd[..., :-1]) * y_sd[..., 1:]
-    d_rd = np.conj(y_rd[..., :-1]) * y_rd[..., 1:]
-    return weights.b0 * d_sd + weights.b1 * d_rd
+    return weights.apply(*diff_products(y_sd, y_rd))
 
 
 def detect(zeta, constellation: Constellation):
@@ -101,3 +108,26 @@ def detect(zeta, constellation: Constellation):
     zeta = np.asarray(zeta)
     scores = np.real(zeta[..., None] * np.conj(constellation.symbols))
     return np.argmax(scores, axis=-1)
+
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
+
+
+def frame_bit_errors(zeta, data, constellation: Constellation):
+    """Bit errors per frame (last axis) of gray_of_index[detect(zeta)] against the sent patterns.
+
+    For M = 2 and 4 the decisions are exact comparisons on a = Re zeta, b = Im zeta that give the
+    argmax over (a, b, -a, -b), ties to the lowest index included: M = 2 decides a < 0, M = 4
+    Gray bit 1 is a < -b and bit 0 is a < b, or a == b < 0.
+    """
+    zeta = np.asarray(zeta)
+    if constellation.M > 4:
+        return _POPCOUNT[data ^ constellation.gray_of_index[detect(zeta, constellation)]].sum(axis=-1)
+    # contiguous copies: comparisons on the strided .real/.imag views run several times slower
+    a = np.ascontiguousarray(zeta.real)
+    if constellation.M == 2:
+        return np.count_nonzero((a < 0) != (data == 1), axis=-1)
+    b = np.ascontiguousarray(zeta.imag)
+    bit1 = (a < -b) != (data >= 2)
+    bit0 = ((a < b) | ((a == b) & (a < 0))) != (data & 1).astype(bool)
+    return np.count_nonzero(bit1, axis=-1) + np.count_nonzero(bit0, axis=-1)

@@ -18,7 +18,7 @@ from dafrelay.channel import (
     rayleigh_pdf,
     validate_stats,
 )
-from dafrelay.channel import _HIST_EDGES, _HIST_MASSES, _N_SINUSOIDS
+from dafrelay.channel import _HIST_EDGES, _HIST_MASSES, _N_SINUSOIDS, _crandn
 from dafrelay.specials import bessel_j0
 
 
@@ -65,6 +65,17 @@ class TestSpecsAndScenarios:
 
 
 class TestSingleLinkGenerators:
+    @pytest.mark.parametrize("shape", [(32, 1001), (8, 10001), 7, (200_000, 9)])
+    def test_crandn_matches_component_sum(self, shape):
+        # oracle: every real part, then every imaginary part, summed and divided by sqrt(2)
+        rng, ref_rng = rng_for(23), rng_for(23)
+        z = _crandn(rng, shape)
+        ref = (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
+        assert z.shape == ref.shape and z.dtype == ref.dtype
+        assert np.array_equal(z.view(float), ref.view(float))
+        assert np.array_equal(z.view(np.uint64), ref.view(np.uint64))  # signed zeros included
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_zero_doppler_is_constant(self):
         h = gen_fading(FadingSpec(0.0), 1000, rng_for(1))
         assert np.all(h == h[0])

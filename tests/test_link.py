@@ -131,6 +131,34 @@ class TestTransmit:
         assert np.allclose(obs.y_sd, np.sqrt(pa.P0) * h_sd * s, atol=0)
         assert np.allclose(obs.y_rd, pa.A * h_rd * np.sqrt(pa.P0) * h_sr * s, atol=0)
 
+    @pytest.mark.parametrize("with_noise", [True, False])
+    @pytest.mark.parametrize("gains", ["real", "zeros", "complex"])
+    def test_matches_observation_formula_bitwise(self, gains, with_noise):
+        # oracle: the observation formulas as plain expressions on the same noise draws
+        c = Constellation.of(4)
+        pa = PowerAllocation.equal_from_total_db(7.0)
+        draw = np.random.default_rng(9)
+        s = diff_encode(draw.integers(0, 4, (3, 50)), c)
+        h_sd, h, h_rd = (draw.standard_normal(s.shape) for _ in range(3))
+        if gains == "zeros":
+            h_sd, h, h_rd = (np.zeros(s.shape) for _ in range(3))
+        elif gains == "complex":
+            h_sd, h, h_rd = (g + 1j * draw.standard_normal(s.shape) for g in (h_sd, h, h_rd))
+        obs = transmit(s, h_sd, h, h_rd, pa, np.random.default_rng(10), with_noise)
+        ref_rng = np.random.default_rng(10)
+        if with_noise:
+            w_sd, w_sr, w_rd = (
+                (ref_rng.standard_normal(s.shape) + 1j * ref_rng.standard_normal(s.shape)) / np.sqrt(2.0)
+                for _ in range(3)
+            )
+        else:
+            w_sd = w_sr = w_rd = 0.0
+        y_sd = np.sqrt(pa.P0) * h_sd * s + w_sd
+        y_rd = pa.A * np.sqrt(pa.P0) * h * s + (pa.A * h_rd * w_sr + w_rd)
+        for got, ref in ((obs.y_sd, y_sd), (obs.y_rd, y_rd)):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_noise_statistics(self):
         c = Constellation.of(2)
         pa = PowerAllocation.equal_from_total_db(0.0)

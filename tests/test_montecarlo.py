@@ -20,7 +20,9 @@ from dafrelay.montecarlo import (
     run_point_schemes,
     run_sweep,
 )
-from dafrelay.receiver import Scheme
+from dafrelay.link import Constellation, PowerAllocation
+from dafrelay.montecarlo import _chunk_rng, _generate_chunk, _scheme_weights
+from dafrelay.receiver import Scheme, combine, detect, diff_products, frame_bit_errors
 
 FAST = dict(
     min_bit_errors=50,
@@ -205,3 +207,27 @@ class TestDiversitySlope:
         ests = [self._est(10.0, 1e-2), BerEstimate(20.0, Scheme.TVD, 0, 1000, 0.0, 0.0)]
         with pytest.raises(ValueError):
             diversity_slope(ests, 10.0, 20.0)
+
+
+@pytest.mark.parametrize("M", [2, 4, 8])
+@pytest.mark.parametrize("cascade", list(CascadedModelKind))
+def test_frame_errors_match_combine_detect(M, cascade):
+    # reference: combine -> detect -> Gray pattern -> popcount of the xor, per frame (row);
+    # M = 8 takes the general detect path, M = 2 and 4 the exact comparisons
+    scn = SCENARIOS["III"]
+    cfg = RunConfig(scn, M=M, frame_len=500, generator=FadingGenerator.AR1, cascaded_model=cascade)
+    pa = PowerAllocation.equal_from_total_db(12.0)
+    const = Constellation.of(M)
+    specs = tuple(FadingSpec(f, 1, cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+    alpha_sd, alpha = scn.autocorrs()
+    popcount = np.array([bin(i).count("1") for i in range(M)])
+    for chunk_index in range(2):
+        data, y_sd, y_rd, h_rd = _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 12.0, chunk_index), 16)
+        d_sd, d_rd = diff_products(y_sd, y_rd)
+        for scheme in Scheme:
+            w = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd)
+            ref = popcount[data ^ const.gray_of_index[detect(combine(y_sd, y_rd, w), const)]].sum(axis=1)
+            errors = frame_bit_errors(w.apply(d_sd, d_rd), data, const)
+            assert errors.shape == (16,)
+            assert np.array_equal(errors, ref)
+            assert ref.sum() > 0

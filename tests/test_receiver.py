@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
 from dafrelay.receiver import (
     combine,
     detect,
+    frame_bit_errors,
     noise_variances,
     weights_cdd,
     weights_opt_genie,
@@ -155,3 +158,32 @@ class TestCombineDetect:
         zeta = combine(y, y, weights_cdd(1.0))
         assert zeta.shape == (4, 5)
         assert detect(zeta, c).shape == (4, 5)
+
+
+# exact zeros of both signs and small integers, so that a == +-b ties and signed zeros come up often
+_COMPONENT = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tie_heavy_zetas(draw):
+    """Combiner outputs a + jb whose b is free, equal to a or equal to -a."""
+    pairs = draw(
+        st.lists(st.tuples(_COMPONENT, _COMPONENT, st.sampled_from(["free", "a", "-a"])), min_size=1, max_size=40)
+    )
+    zeta = np.empty(len(pairs), dtype=complex)
+    zeta.real = [a for a, _, _ in pairs]  # assigned part by part: a + 1j*b would lose signed zeros
+    zeta.imag = [b if mode == "free" else (a if mode == "a" else -a) for a, b, mode in pairs]
+    return zeta
+
+
+class TestFrameBitErrors:
+    @settings(max_examples=300)
+    @given(tie_heavy_zetas(), st.sampled_from([2, 4]))
+    def test_fast_decisions_match_detect(self, zeta, M):
+        # each symbol is a one-symbol frame; its errors against every possible pattern d are
+        # popcount(d ^ decision), which pins the decision down
+        c = Constellation.of(M)
+        expected = c.gray_of_index[detect(zeta, c)]
+        for d in range(M):
+            errors = frame_bit_errors(zeta[:, None], np.full((zeta.size, 1), d), c)
+            assert errors.tolist() == [bin(d ^ int(g)).count("1") for g in expected]

@@ -1,0 +1,116 @@
+"""Run the benchmark on two checkouts in alternating pairs and summarise every end-to-end metric.
+
+Usage (from any directory):
+
+    python3 tools/bench_pairs.py PARENT_DIR HEAD_DIR --workloads sweep_ar1_approx theory_grid \\
+        --pairs 10 --out BENCH_6.json [--seed-base N]
+
+For each workload and pair i, `perfbench/run.py --workload W --seed SEED_i --trace 0` runs
+once in each checkout (the first one as the parent, the second as the change), with
+the same seed on both sides; even pairs run the parent first, odd pairs the change, so
+drift of the host's speed over a pair falls on each side equally often.  The
+seeds are `seed_base + i`.  Each checkout's `perfbench/run.py` runs for its own
+`run_seconds`; the parent's BENCHMARK.json names the metrics and their direction
+(`end_to_end`), and its `run_seconds` is recorded in the output.
+
+The output JSON holds the environment block of the first run, the seeds and for
+every workload and metric: the values of each side, their median and quartiles,
+the median ratio change/parent, and `change_wins`, the number of pairs in which the
+change is strictly better.  A run that fails, prints no result line or reports
+`correct: false` is listed under `failures`, and its pair is left out of the
+statistics of both sides, so every summary is taken over the same seeds.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int):
+    """One `perfbench/run.py` run: (metrics, environment), or (None, reason) on failure."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        return None, f"correct=false, {result.get('failed')} of {result.get('attempted')} failed"
+    info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), {})
+    return {name: m["value"] for name, m in result["metrics"].items()}, info.get("environment")
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed-base", type=int, default=1000)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    seeds = [args.seed_base + i for i in range(args.pairs)]
+    checkouts = dict(zip(SIDES, (args.parent, args.change)))
+
+    environment, failures, workloads = None, [], {}
+    for workload in args.workloads:
+        paired = []  # (parent metrics, change metrics) of the pairs where both sides ran
+        for i, seed in enumerate(seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            got = {}
+            for side in order:
+                result, detail = run_once(checkouts[side], workload, seed)
+                if result is None:
+                    failures.append({"workload": workload, "seed": seed, "side": side, "reason": detail})
+                    continue
+                environment = environment or detail
+                got[side] = result
+            if len(got) == 2:
+                paired.append((got["parent"], got["change"]))
+            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
+                  + ", ".join(f"{s} work_per_s={got[s]['work_per_s']:.4g}" for s in SIDES if s in got),
+                  file=sys.stderr)
+        report = {}
+        for name, spec in metrics.items():
+            sign = 1 if spec["better"] == "higher" else -1
+            entry = {"unit": spec["unit"], "better": spec["better"]}
+            if paired:
+                for side, runs in zip(SIDES, zip(*paired)):
+                    entry[side] = summary([run[name] for run in runs])
+                if entry["parent"]["median"]:
+                    entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+            entry["change_wins"] = sum(sign * (c[name] - p[name]) > 0 for p, c in paired)
+            entry["pairs"] = len(paired)
+            report[name] = entry
+        workloads[workload] = report
+
+    out = {
+        "environment": environment,
+        "run_seconds": bench["run_seconds"],
+        "pairs": args.pairs,
+        "seeds": seeds,
+        "order": "parent first in even pairs (0, 2, ...), change first in odd pairs",
+        "workloads": workloads,
+        "failures": failures,
+    }
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
