@@ -121,14 +121,17 @@ _QUAD_RTOL = 1e-9
 
 @functools.cache
 def _theta_rule():
-    """Gauss-Legendre nodes on (0, pi/2), weights and sin^2(theta) of both orders, concatenated.
+    """Nodes on (0, pi/2), weights and sin^2(theta) of both orders, concatenated.
 
-    The first _QUAD_ORDER entries are the order-64 rule, the rest the order-128
-    rule.  Built on first use; the arrays are read-only because every call shares them.
+    Gauss-Legendre in u on (0, 1) with theta = (pi/2)*u^3 and the Jacobian (3*pi/2)*u^2 in the weights,
+    which crowds the nodes into the steep layer the integrand has near theta = 0 at low power.  The first
+    _QUAD_ORDER entries are the order-64 rule, the rest the order-128 rule.  Built on first use; the
+    arrays are read-only because every call shares them.
     """
     nodes, weights = zip(*(np.polynomial.legendre.leggauss(n) for n in (_QUAD_ORDER, _QUAD_CHECK_ORDER)))
-    theta = (np.concatenate(nodes) + 1.0) * (np.pi / 4.0)
-    rule = theta, np.concatenate(weights) * (np.pi / 4.0), np.sin(theta) ** 2
+    u = (np.concatenate(nodes) + 1.0) / 2.0
+    theta = (np.pi / 2.0) * u**3
+    rule = theta, np.concatenate(weights) * (3.0 * np.pi / 4.0) * u**2, np.sin(theta) ** 2
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -137,9 +140,9 @@ def _theta_rule():
 def pep(params: PepParams) -> float:
     """Unconditioned pairwise error probability of the nearest-neighbour event.
 
-    Gauss-Legendre quadrature over theta in (0, pi/2), with an order-doubling
-    refinement check at relative tolerance 1e-9.  The integrand is evaluated
-    once over the nodes of both orders.
+    Gauss-Legendre quadrature over theta in (0, pi/2), placed in u with theta = (pi/2)*u^3,
+    with an order-doubling refinement check at relative tolerance 1e-9.  The integrand
+    is evaluated once over the nodes of both orders.
     """
     theta, wt, s2 = _theta_rule()
     integrand = i1_closed_form(theta, params) / (1.0 + gamma_sd(params) * params.d_min_sq / (2.0 * s2))

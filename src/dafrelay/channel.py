@@ -4,6 +4,7 @@ Two backends are provided for each individual link: an AR(1) recursion whose
 lag-1 autocorrelation is exact by construction, and an improved-Jakes
 sum-of-sinusoids simulator whose autocorrelation tracks J0(2*pi*f*k), with the
 draws and terms of the classical cosine form summed as a matmul over k = b*B + j.
+The one-term cascade approximation runs the AR(1) recursion too (`_ar1`), scaled by h_rd.
 
 All generators can emit a batch of independent realizations (a 2D array with
 one realization per row).  Statistical validation of strongly correlated
@@ -120,22 +121,24 @@ def _crandn(rng, shape):
     return z
 
 
-def _gen_ar1(alpha, length, rng, n_real):
-    innov_scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-    h = np.empty((n_real, length), dtype=complex)
-    h[:, 0] = _crandn(rng, n_real)
-    if length > 1:
-        e = _crandn(rng, (n_real, length - 1))
-        if innov_scale == 0.0:
-            h[:, 1:] = h[:, :1]
-        else:
-            from scipy.signal import lfilter
+def _ar1(a, h0, x):
+    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], by one lfilter call.
 
-            x = innov_scale * e
-            zi = (alpha * h[:, 0])[:, None]
-            y, _ = lfilter([1.0], [1.0, -alpha], x, axis=1, zi=zi)
-            h[:, 1:] = y
+    The bits are those of the plain loop, also for a = 1 with zero input and for x without columns.
+    """
+    from scipy.signal import lfilter
+
+    h = np.empty((len(h0), x.shape[1] + 1), dtype=complex)
+    h[:, 0] = h0
+    h[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * h[:, :1])
     return h
+
+
+def _gen_ar1(alpha, length, rng, n_real):
+    """h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1] from CN(0,1) draws: h[0], then every e."""
+    h0 = _crandn(rng, n_real)
+    x = np.sqrt(max(0.0, 1.0 - alpha * alpha)) * _crandn(rng, (n_real, length - 1))
+    return _ar1(alpha, h0, x)
 
 
 _N_SINUSOIDS = 16  # sinusoid pairs; keeps autocorr error below test tolerances
@@ -203,8 +206,8 @@ def gen_cascaded(
 
     Returns (h, h_rd).  EXACT_PRODUCT multiplies two independently generated
     links elementwise.  APPROXIMATE runs the one-term recursion
-    h[k] = a*h[k-1] + sqrt(1-a^2)*h_rd[k-1]*e_sr[k] with a = a_sr*a_rd,
-    initialized from an exact product sample.  h_rd is returned for the
+    h[k] = a*h[k-1] + sqrt(1-a^2)*h_rd[k-1]*e_sr[k-1] with a = a_sr*a_rd from
+    h[0] = e_0*h_rd[0], drawing h_rd, e_0, then e_sr.  h_rd is returned for the
     genie combiner.
     """
     if spec_sr.lag_n != spec_rd.lag_n:
@@ -212,19 +215,16 @@ def gen_cascaded(
     h_rd = gen_fading(spec_rd, length, rng, realizations)
     if kind is CascadedModelKind.EXACT_PRODUCT:
         return gen_fading(spec_sr, length, rng, realizations) * h_rd, h_rd
-    from scipy.signal import lfilter
-
     h_rd_2d = np.atleast_2d(h_rd)
     a = autocorr(spec_sr) * autocorr(spec_rd)
-    h = np.empty(h_rd_2d.shape, dtype=complex)
-    h[:, 0] = _crandn(rng, len(h)) * h_rd_2d[:, 0]
-    e_sr = _crandn(rng, (len(h), length - 1))
-    # filter input sqrt(1-a^2)*h_rd[k-1]*e_sr[k-1]; e_sr is freed before the
-    # filter output is allocated, which keeps peak memory at the loop's level
+    h0 = _crandn(rng, len(h_rd_2d)) * h_rd_2d[:, 0]
+    e_sr = _crandn(rng, (len(h_rd_2d), length - 1))
+    # filter input sqrt(1-a^2)*h_rd[k-1]*e_sr[k-1]; e_sr is freed before _ar1
+    # allocates its output, which keeps peak memory at the loop's level
     x = np.sqrt(max(0.0, 1.0 - a * a)) * h_rd_2d[:, :-1]
     x *= e_sr
     del e_sr
-    h[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * h[:, :1])
+    h = _ar1(a, h0, x)
     return (h[0] if realizations is None else h), h_rd
 
 
@@ -253,6 +253,7 @@ _HIST_EDGES = np.linspace(*_HIST_RANGE, _HIST_BINS + 1)
 # F(0) = 0; the last right edge takes F = 1, which folds the tail into the last bin
 _INNER_EDGES = _HIST_EDGES[1:-1]
 _HIST_MASSES = np.diff(np.concatenate(([0.0], 1.0 - 2.0 * _INNER_EDGES * special.k1(2.0 * _INNER_EDGES), [1.0])))
+_CHI_SQUARE_MIN_EXPECTED = 5.0  # bins expecting fewer samples are merged into their neighbours
 
 
 def validate_stats(samples) -> ChannelStats:
@@ -276,11 +277,11 @@ def validate_stats(samples) -> ChannelStats:
     return ChannelStats(mean, variance, lag1, edges, dens)
 
 
-def envelope_chi_square(samples, min_expected=5.0):
+def envelope_chi_square(samples):
     """Chi-square goodness-of-fit of i.i.d. envelope samples against 4*l*K0(2*l).
 
     `samples` must be (approximately) independent draws; bins with expected
-    count below `min_expected` are merged into their neighbours.
+    count below _CHI_SQUARE_MIN_EXPECTED are merged into their neighbours.
     Returns (statistic, p_value).
     """
     lam = np.abs(np.asarray(samples)).ravel()
@@ -295,7 +296,7 @@ def envelope_chi_square(samples, min_expected=5.0):
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _CHI_SQUARE_MIN_EXPECTED:
             obs_m.append(acc_o)
             exp_m.append(acc_e)
             acc_o = acc_e = 0.0

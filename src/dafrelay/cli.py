@@ -1,6 +1,8 @@
 """Command-line front end: BER sweeps, channel-statistics validation, Doppler helper."""
 
 import argparse
+import math
+import re
 import sys
 
 import numpy as np
@@ -29,28 +31,30 @@ EXIT_NUMERIC = 3
 _SPEED_OF_LIGHT = 3e8
 
 
-def _fmt(x) -> str:
-    """Fixed 6-significant-digit formatting; empty string for missing values."""
-    if x is None:
-        return ""
-    return f"{x:.6g}"
+def _write(path, text: str) -> None:
+    """Write a command's output to `path`, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def doppler_normalized(f_c_hz: float, t_s_seconds: float, v_kmh: float) -> float:
     """Normalized Doppler frequency (cycles/symbol) from carrier, symbol time and speed."""
-    if f_c_hz <= 0 or t_s_seconds <= 0 or v_kmh < 0:
-        raise ValueError("carrier frequency and symbol time must be positive, speed non-negative")
+    if not (0 < f_c_hz < math.inf and 0 < t_s_seconds < math.inf and 0 <= v_kmh < math.inf):
+        raise ValueError("carrier frequency and symbol time must be positive, speed non-negative, all finite")
     return (v_kmh / 3.6) * f_c_hz / _SPEED_OF_LIGHT * t_s_seconds
 
 
 def parse_grid(spec: str) -> tuple:
-    """Parse a start:step:stop grid (inclusive stop) into a tuple of floats."""
-    parts = spec.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) != 3:
-        raise ValueError(f"grid must be START:STEP:STOP, got {spec!r}")
-    start, step, stop = (float(p) for p in parts)
+    """Parse a start:step:stop grid (inclusive stop), or one value, into a tuple of finite floats."""
+    values = [float(p) for p in spec.split(":")]
+    if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
+        raise ValueError(f"grid must be START:STEP:STOP or one value, all finite, got {spec!r}")
+    if len(values) == 1:
+        return (values[0],)
+    start, step, stop = values
     if step <= 0 or stop < start:
         raise ValueError(f"malformed grid {spec!r}")
     n = int(round((stop - start) / step)) + 1
@@ -72,41 +76,47 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _lookup(table: dict, key: str, value: str):
+def _lookup(choices, key: str, value: str):
+    table = choices if isinstance(choices, dict) else {member.value: member for member in choices}
     if value not in table:
         raise ValueError(f"unknown {key} {value!r} (choose from {sorted(table)})")
     return table[value]
 
 
+_SCENARIO_KEYS = ("f_sd", "f_sr", "f_rd")
+
+
 def _resolve_scenario(args_scenario, cfg: dict) -> Scenario:
     name = args_scenario or cfg.get("scenario")
     if name:
-        if any(key in cfg for key in ("f_sd", "f_sr", "f_rd")):
+        if any(key in cfg for key in _SCENARIO_KEYS):
             raise ValueError(f"scenario {name!r} excludes explicit f_sd/f_sr/f_rd")
         return _lookup(SCENARIOS, "scenario", name)
     try:
-        return Scenario(
-            "custom", float(cfg["f_sd"]), float(cfg["f_sr"]), float(cfg["f_rd"])
-        )
+        return Scenario("custom", *(float(cfg[key]) for key in _SCENARIO_KEYS))
     except KeyError as exc:
         raise ValueError("scenario name or explicit f_sd/f_sr/f_rd required") from exc
 
 
-_SCHEME_NAMES = {"cdd": Scheme.CDD, "tvd": Scheme.TVD, "opt": Scheme.OPT_GENIE}
-_GENERATORS = {"ar1": FadingGenerator.AR1, "sos": FadingGenerator.SUM_OF_SINUSOIDS}
-_CASCADED = {"exact": CascadedModelKind.EXACT_PRODUCT, "approx": CascadedModelKind.APPROXIMATE}
-
-
 def _resolve_schemes(value: str) -> list[Scheme]:
     if value == "all":
-        return [Scheme.CDD, Scheme.TVD, Scheme.OPT_GENIE]
-    return [_lookup(_SCHEME_NAMES, "scheme", token.strip()) for token in value.split(",")]
+        return list(Scheme)
+    return [_lookup(Scheme, "scheme", token.strip()) for token in value.split(",")]
 
 
-_SWEEP_KEYS = {
-    "scenario", "f_sd", "f_sr", "f_rd", "m", "schemes", "p_db", "seed",
-    "generator", "cascaded", "min_bit_errors", "max_symbols", "frame_len",
+# sweep config key -> (RunConfig field, parser of its value); an absent key keeps RunConfig's default.
+# The other keys a sweep config accepts are "scenario", "schemes" and _SCENARIO_KEYS.
+_RUN_KEYS = {
+    "m": ("M", int),
+    "p_db": ("p_db_grid", parse_grid),
+    "seed": ("master_seed", int),
+    "min_bit_errors": ("min_bit_errors", int),
+    "max_symbols": ("max_symbols", lambda value: int(float(value))),
+    "frame_len": ("frame_len", int),
+    "generator": ("generator", lambda value: _lookup(FadingGenerator, "generator", value)),
+    "cascaded": ("cascaded_model", lambda value: _lookup(CascadedModelKind, "cascaded", value)),
 }
+_SWEEP_KEYS = {*_RUN_KEYS, *_SCENARIO_KEYS, "scenario", "schemes"}
 
 
 def cmd_sweep(args) -> int:
@@ -115,23 +125,15 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} (choose from {sorted(_SWEEP_KEYS)})")
     scenario = _resolve_scenario(args.scenario, cfg)
-    m = int(args.m if args.m is not None else cfg.get("m", 2))
     schemes = _resolve_schemes(args.scheme or cfg.get("schemes", "tvd"))
-    grid = parse_grid(args.pdb or cfg.get("p_db", "0:5:30"))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    base = RunConfig(
-        scenario=scenario,
-        M=m,
-        p_db_grid=grid,
-        min_bit_errors=int(cfg.get("min_bit_errors", 200)),
-        max_symbols=int(float(cfg.get("max_symbols", 10**8))),
-        frame_len=int(cfg.get("frame_len", 10**4)),
-        master_seed=seed,
-        generator=_lookup(_GENERATORS, "generator", cfg.get("generator", "sos")),
-        cascaded_model=_lookup(_CASCADED, "cascaded", cfg.get("cascaded", "exact")),
-    )
+    # the command line overrides the config file; the CLI's default grid differs from RunConfig's
+    given = {"m": args.m, "p_db": args.pdb, "seed": args.seed}
+    values = {"p_db": "0:5:30", **cfg, **{key: v for key, v in given.items() if v is not None}}
+    fields = {field: parse(values[key]) for key, (field, parse) in _RUN_KEYS.items() if key in values}
+    base = RunConfig(scenario=scenario, **fields)
+    m, grid = base.M, base.p_db_grid
 
-    alpha_sd, alpha = scenario.autocorrs(base.lag_n)
+    alpha_sd, alpha = scenario.autocorrs()
     # theory and floor depend on the point only; rows are scheme-major, as run_sweep returns them
     points = [analysis.pep_point(alpha_sd, alpha, p_db, m) for p_db in grid]
     cells = [(scheme, p_db, point) for scheme in schemes for p_db, point in zip(grid, points)]
@@ -139,28 +141,13 @@ def cmd_sweep(args) -> int:
     rows = []
     for (scheme, p_db, point), est in zip(cells, estimates):
         _, floor_ber = analysis.ser_ber_from_pep(point.floor, m)
-        rows.append(
-            ",".join(
-                [
-                    _fmt(p_db),
-                    scenario.name,
-                    scheme.value,
-                    str(m),
-                    _fmt(est.ber if est else None),
-                    _fmt(est.ci95_halfwidth if est else None),
-                    _fmt(point.ber),
-                    _fmt(floor_ber),
-                    ("1" if est.truncated else "0") if est else "",
-                ]
-            )
-        )
-
-    out = "\n".join([CSV_HEADER] + rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+        # values to 6 significant digits; the simulation columns are empty without an estimate
+        ber_sim = ci95 = truncated = ""
+        if est:
+            ber_sim, ci95, truncated = f"{est.ber:.6g}", f"{est.ci95_halfwidth:.6g}", str(int(est.truncated))
+        rows.append(",".join([f"{p_db:.6g}", scenario.name, scheme.value, str(m), ber_sim, ci95,
+                              f"{point.ber:.6g}", f"{floor_ber:.6g}", truncated]))
+    _write(args.out, "\n".join([CSV_HEADER] + rows) + "\n")
     return 0
 
 
@@ -171,8 +158,7 @@ def cmd_validate_channel(args) -> int:
         raise ValueError("validate-channel needs at least 10^4 samples")
     frame_len = 10
     n_frames = max(2, n_samples // frame_len)
-    spec_sr = FadingSpec(scenario.f_sr, 1, FadingGenerator.AR1)
-    spec_rd = FadingSpec(scenario.f_rd, 1, FadingGenerator.AR1)
+    spec_sr, spec_rd = FadingSpec(scenario.f_sr), FadingSpec(scenario.f_rd)
     _, alpha = scenario.autocorrs()
 
     lines = [f"channel validation: scenario {scenario.name}"]
@@ -181,31 +167,25 @@ def cmd_validate_channel(args) -> int:
         f"expected lag-1 autocorr (cascaded) = {alpha:.6f}"
     )
     results = {}
-    for label, kind in (("exact", CascadedModelKind.EXACT_PRODUCT), ("approx", CascadedModelKind.APPROXIMATE)):
-        stream = 1 if label == "exact" else 2
+    for stream, kind in enumerate(CascadedModelKind, 1):
         rng = np.random.default_rng(np.random.SeedSequence([int(args.seed), stream]))
         h = gen_cascaded(spec_sr, spec_rd, kind, frame_len, rng, realizations=n_frames)[0]
-        st = results[label] = validate_stats(h)
+        st = results[kind] = validate_stats(h)
         stat, p = envelope_chi_square(h[:, -1])
         del h  # only the statistics are kept; the next model is generated without this array alive
         lines.append(
-            f"model={label} mean=({st.mean.real:+.5f},{st.mean.imag:+.5f}) "
+            f"model={kind.value} mean=({st.mean.real:+.5f},{st.mean.imag:+.5f}) "
             f"variance={st.variance:.5f} lag1_autocorr={st.lag1_autocorr:.5f} "
             f"chi2={stat:.2f} p_value={p:.4f}"
         )
     lines.append("histogram: bin_center empirical_exact empirical_approx theory_cascaded theory_rayleigh")
-    st_e, st_a = results["exact"], results["approx"]
+    st_e, st_a = results.values()
     centers = 0.5 * (st_e.bin_edges[:-1] + st_e.bin_edges[1:])
     theory = envelope_pdf_theoretical(centers)
     rayl = rayleigh_pdf(centers)
     for c, de, da, t, r in zip(centers, st_e.densities, st_a.densities, theory, rayl):
         lines.append(f"{c:.4f} {de:.5f} {da:.5f} {t:.5f} {r:.5f}")
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -232,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-sim", action="store_true", help="emit theory-only rows")
     p_sweep.add_argument("--out", help="write CSV here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
+    # read a grid such as -20:5:30 as a value, not as an option, as argparse does from Python 3.13 on
+    p_sweep._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_val = sub.add_parser("validate-channel", help="channel statistics report (exact vs approximate cascade)")
     p_val.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)

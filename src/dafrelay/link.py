@@ -72,13 +72,16 @@ class PowerAllocation:
     @classmethod
     def equal_from_total_db(cls, p_db: float) -> "PowerAllocation":
         """Equal split P0 = P1 = P/2 with A = sqrt(P1/(P0+1))."""
-        p = 10.0 ** (p_db / 10.0)
+        try:
+            p = 10.0 ** (p_db / 10.0)
+        except OverflowError as exc:
+            raise ValueError(f"total power {p_db} dB overflows") from exc
         p0 = p1 = p / 2.0
         return cls(p, p0, p1, float(np.sqrt(p1 / (p0 + 1.0))))
 
     def __post_init__(self):
-        if self.P0 <= 0 or self.P1 <= 0:
-            raise ValueError("P0 and P1 must be positive")
+        if not (0 < self.P0 < np.inf and 0 < self.P1 < np.inf):
+            raise ValueError(f"P0 and P1 must be positive and finite, got {self.P0} and {self.P1}")
 
 
 @dataclass

@@ -35,7 +35,6 @@ class RunConfig:
     master_seed: int = 0
     generator: FadingGenerator = FadingGenerator.SUM_OF_SINUSOIDS
     cascaded_model: CascadedModelKind = CascadedModelKind.EXACT_PRODUCT
-    lag_n: int = 1
     with_noise: bool = True
     frames_per_chunk: int = 32
 
@@ -108,8 +107,8 @@ def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
     pa = PowerAllocation.equal_from_total_db(p_db)
     const = Constellation.of(config.M)
     scn = config.scenario
-    alpha_sd, alpha = scn.autocorrs(config.lag_n)
-    specs = tuple(FadingSpec(f, config.lag_n, config.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+    alpha_sd, alpha = scn.autocorrs()
+    specs = tuple(FadingSpec(f, generator=config.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
     max_frames = config.max_symbols // config.frame_len
     errors = {s: 0 for s in schemes}
     frames = 0

@@ -6,6 +6,8 @@ which comfortably meet the accuracy targets (J0 abs err <= 1e-12 on |x| <= 100,
 K0 and E1 rel err <= 1e-10 on their working ranges, Q abs err <= 1e-12).
 """
 
+import math
+
 import numpy as np
 from scipy import special as _sp
 
@@ -57,39 +59,23 @@ def gaussian_q(x):
     return (0.5 * _sp.erfc(x / _SQRT2))[()]
 
 
-def _exp_e1_cf(x, max_iter=200, tol=1e-15):
-    """exp(x)*E1(x) by the modified Lentz continued fraction; stable for large x."""
-    # e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- 9/(...))))
-    tiny = 1e-300
-    b = x + 1.0
-    c = np.full_like(b, 1e300)
-    d = 1.0 / b
-    f = d.copy()
-    for k in range(1, max_iter):
-        a = -k * k
-        b = b + 2.0
-        d = 1.0 / np.maximum(np.abs(b + a * d), tiny) * np.sign(b + a * d)
-        c = b + a / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        delta = c * d
-        f = f * delta
-        if np.all(np.abs(delta - 1.0) < tol):
-            break
-    return f
+# e^x E1(x) ~ (1/x) sum_k (-1)^k k!/x^k: 20 terms, whose first omitted one, 20!/50^20, is below 3e-16
+_E1_ASYMPTOTIC = np.array([(-1) ** k * math.factorial(k) for k in range(20)], dtype=float)
 
 
 def exp_e1_scaled(x):
-    """Fused exp(x)*E1(x), safe against overflow of exp(x) for large x."""
+    """Fused exp(x)*E1(x), safe against overflow of exp(x) for large x.
+
+    scipy's E1 up to x = 50; above, the asymptotic series in 1/x by Horner's rule.
+    """
     x = np.asarray(x, dtype=float)
     _check_finite(x, "exp_e1_scaled")
     if np.any(x <= 0.0):
         raise ValueError("exp_e1_scaled: x must be > 0")
-    shape = x.shape
-    flat = np.atleast_1d(x).ravel()
-    out = np.empty_like(flat)
-    small = flat <= 50.0
-    if np.any(small):
-        out[small] = np.exp(flat[small]) * _sp.exp1(flat[small])
-    if np.any(~small):
-        out[~small] = _exp_e1_cf(flat[~small])
-    return out.reshape(shape)[()]
+    out = np.empty_like(x)
+    small = x <= 50.0
+    out[small] = np.exp(x[small]) * _sp.exp1(x[small])
+    if not np.all(small):
+        t = 1.0 / x[~small]
+        out[~small] = t * np.polynomial.polynomial.polyval(t, _E1_ASYMPTOTIC)
+    return out[()]

@@ -1,5 +1,6 @@
 """Analytic PEP/SER/BER: closed forms against direct numerical integration."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -17,6 +18,7 @@ from dafrelay.analysis import (
     pep_upper_bound,
     ser_ber_from_pep,
 )
+from dafrelay.channel import SCENARIOS
 from dafrelay.link import PowerAllocation
 from dafrelay.specials import bessel_j0
 
@@ -38,6 +40,28 @@ def i1_direct(theta, params):
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=200, epsabs=1e-13, epsrel=1e-12)
     return val
+
+
+def pep_mpmath(params, dps=30):
+    """Oracle: (1/pi) int_0^(pi/2) I1(theta) / (1 + gamma_sd d^2 / (2 sin^2 theta)) dtheta at `dps` digits.
+
+    I1 is its closed form, which test_closed_form_vs_direct_integration checks against the eta-integral;
+    mpmath's tanh-sinh rule resolves the layer near theta = 0 on its own.
+    """
+    with mpmath.workdps(dps):
+        a2, asd2 = mpmath.mpf(params.alpha) ** 2, mpmath.mpf(params.alpha_sd) ** 2
+        aa, p0, d2 = mpmath.mpf(params.A) ** 2, mpmath.mpf(params.P0), mpmath.mpf(params.d_min_sq)
+        gsd = asd2 * p0 / (2 * p0 * (1 - asd2) + 4 + 2 / p0)
+
+        def integrand(theta):
+            s2 = mpmath.sin(theta) ** 2
+            denom = a2 * aa * p0 * d2 / s2 + 4 * (1 - a2) * aa * p0 + 8 * aa
+            beta1, beta2 = 4 / (2 * (1 - a2) * aa * p0 + 4 * aa), 8 / denom
+            eps1 = (4 * (1 - a2) * aa * p0 + 8 * aa) / denom
+            i1 = eps1 * (1 + (beta1 - beta2) * mpmath.exp(beta2) * mpmath.e1(beta2))
+            return i1 / (1 + gsd * d2 / (2 * s2))
+
+        return float(mpmath.quad(integrand, [0, mpmath.pi / 2]) / mpmath.pi)
 
 
 class TestSnrTerms:
@@ -153,6 +177,15 @@ class TestPep:
         nodes = analysis._theta_rule()[0]
         with pytest.raises(ValueError):
             nodes[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "scenario, p_db, M",
+        # total powers at which the plain Gauss-Legendre theta-rule failed its refinement check
+        [("III", -20.0, 2), ("I", -30.0, 4), ("II", -15.0, 2), ("III", -25.0, 4), ("I", -17.5, 2)],
+    )
+    def test_low_power_matches_mpmath(self, scenario, p_db, M):
+        p = PepParams.for_link(*SCENARIOS[scenario].autocorrs(), p_db, M)
+        assert pep(p) == pytest.approx(pep_mpmath(p), rel=1e-12)
 
     def test_faster_fading_is_worse(self):
         p_db = 30.0

@@ -94,6 +94,30 @@ class TestSingleLinkGenerators:
             b = gen_fading(spec, 200, rng_for(3), realizations=4)
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "f, length, realizations",
+        # f = 0 gives a = 1 with zero innovations; length 1 draws no innovations at all
+        [(0.05, 1001, 64), (0.05, 1, 3), (0.0, 50, 4), (0.01, 30, None)],
+    )
+    def test_ar1_matches_symbol_loop(self, f, length, realizations):
+        # oracle: h[k] = a*h[k-1] + sqrt(1-a^2)*e[k-1] as a plain loop over the same draws (h[0], then e)
+        spec = FadingSpec(f, generator=FadingGenerator.AR1)
+        rng, ref_rng = rng_for(24), rng_for(24)
+        h = gen_fading(spec, length, rng, realizations)
+
+        def crandn(shape):
+            return (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
+
+        n = 1 if realizations is None else realizations
+        a = autocorr(spec)
+        ref = np.empty((n, length), dtype=complex)
+        ref[:, 0] = crandn(n)
+        e = crandn((n, length - 1))
+        for k in range(1, length):
+            ref[:, k] = a * ref[:, k - 1] + np.sqrt(1.0 - a * a) * e[:, k - 1]
+        assert np.array_equal(h, ref[0] if realizations is None else ref)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_ar1_moments_and_lag1(self):
         # f = 0.01, 10^6 samples: variance 1 +/- 0.01, lag-1 within 0.01 of J0
         spec = FadingSpec(0.01, generator=FadingGenerator.AR1)

@@ -171,6 +171,19 @@ class TestSweepCommand:
     def test_malformed_grid_exits_usage(self):
         assert main(["sweep", "--scenario", "I", "--pdb", "5:1", "--no-sim"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("pdb", ["4000", "nan", "inf", "0:inf:10", "-inf:5:0"])
+    def test_power_out_of_range_exits_usage(self, capsys, pdb):
+        rc = main(["sweep", "--scenario", "I", "--scheme", "tvd", f"--pdb={pdb}", "--no-sim"])
+        assert rc == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_theory_defined_at_negative_power(self, capsys):
+        rc = main(["sweep", "--no-sim", "--scenario", "III", "--m", "2", "--scheme", "tvd", "--pdb", "-20:5:30"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [float(row[0]) for row in rows] == list(range(-20, 35, 5))
+        assert all(0.0 < float(row[6]) < 0.5 for row in rows)
+
 
 class TestValidateChannelCommand:
     def test_report_contents(self, capsys):
@@ -204,3 +217,10 @@ class TestDopplerCommand:
 
     def test_invalid_input_exits_usage(self):
         assert main(["doppler", "--fc", "2e9", "--ts", "-1", "--v", "75"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["--fc", "nan", "--ts", "1e-4", "--v", "75"],
+                                      ["--fc", "2e9", "--ts", "inf", "--v", "75"],
+                                      ["--fc", "2e9", "--ts", "1e-4", "--v", "nan"]])
+    def test_non_finite_input_exits_usage(self, capsys, argv):
+        assert main(["doppler"] + argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err

@@ -239,6 +239,13 @@ class TestFusedExpE1:
             # leading asymptotic behaviour: ~1/x * (1 - 1/x)
             assert v == pytest.approx(1.0 / x * (1.0 - 1.0 / x), rel=10.0 / x)
 
+    def test_large_arguments_match_mpmath(self):
+        # the x > 50 branch against 40-digit exp(x)*E1(x)
+        xs = np.geomspace(50.0, 1e8, 41)[1:]
+        with mpmath.workdps(40):
+            ref = [float(mpmath.exp(mpmath.mpf(x)) * mpmath.e1(mpmath.mpf(x))) for x in xs]
+        assert exp_e1_scaled(xs) == pytest.approx(ref, rel=1e-15)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             exp_e1_scaled(0.0)

@@ -12,6 +12,10 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
   `--pdb 0:10:50`, frame_len 1000, max_symbols 1e5, min_bit_errors 300;
 - `validate_<scenario>.txt`: `validate-channel` for I-III, 10^6 samples, seed 3;
 - `theory_<scenario>_m<M>.csv`: `sweep --no-sim --scheme all` on 0:0.5:60;
+- `chunk_<gen>_<cascade>.bin`: the raw bytes of one seeded simulation chunk (8 frames of
+  1000 symbols, scenario III, M=4, 20 dB) for ar1/sos x exact/approx: the symbols, the fading
+  and both observations, built by `gen_fading`, `gen_cascaded`, `diff_encode` and `transmit`,
+  so that a change of one last bit shows, which the printed BERs hide;
 - `SHA256SUMS`, one `sha256sum`-format line per output, sorted by name.
 
 To check a change, run this file from the parent checkout and from the change
@@ -25,6 +29,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
+from dafrelay import channel, link  # noqa: E402
 from dafrelay.cli import main as dafrelay_main  # noqa: E402
 
 SCENARIOS = ("I", "II", "III")
@@ -53,6 +60,24 @@ def commands(cfgdir: Path):
                                              "--m", str(m), "--pdb", "0:0.5:60"]
 
 
+def chunks():
+    """(output name, raw bytes) of one seeded chunk per generator and cascade model."""
+    scn = channel.SCENARIOS["III"]
+    const = link.Constellation.of(4)
+    power = link.PowerAllocation.equal_from_total_db(20.0)
+    n_frames, frame_len = 8, 1000
+    for i, gen in enumerate(channel.FadingGenerator):
+        spec_sd, spec_sr, spec_rd = (channel.FadingSpec(f, generator=gen) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+        for j, cascade in enumerate(channel.CascadedModelKind):
+            rng = np.random.default_rng(np.random.SeedSequence([5, i, j]))
+            s = link.diff_encode(rng.integers(0, const.M, (n_frames, frame_len)), const)
+            h_sd = channel.gen_fading(spec_sd, frame_len + 1, rng, n_frames)
+            h, h_rd = channel.gen_cascaded(spec_sr, spec_rd, cascade, frame_len + 1, rng, n_frames)
+            obs = link.transmit(s, h_sd, h, h_rd, power, rng)
+            arrays = (s, h_sd, h, h_rd, obs.y_sd, obs.y_rd)
+            yield f"chunk_{gen.value}_{cascade.value}.bin", b"".join(a.tobytes() for a in arrays)
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         sys.stderr.write("usage: seeded_outputs.py OUTDIR\n")
@@ -68,6 +93,9 @@ def main(argv) -> int:
                 sys.stderr.write(f"{name}: dafrelay {' '.join(args)} exited {rc}\n")
                 return 1
             sums.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
+    for name, raw in chunks():
+        (outdir / name).write_bytes(raw)
+        sums.append(f"{hashlib.sha256(raw).hexdigest()}  {name}\n")
     (outdir / "SHA256SUMS").write_text("".join(sorted(sums, key=lambda line: line.split()[1])))
     print(f"{len(sums)} outputs written to {outdir}")
     return 0
