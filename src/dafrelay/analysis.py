@@ -57,7 +57,11 @@ class PepParams:
     def for_link(cls, alpha_sd: float, alpha: float, p_db: float, M: int) -> "PepParams":
         """Equal power allocation at total power p_db (dB)."""
         pa = PowerAllocation.equal_from_total_db(p_db)
-        return cls(pa.P0, pa.A, alpha_sd, alpha, psk_d_min_sq(M), M)
+        d_min_sq = psk_d_min_sq(M)
+        if pa.P0 * d_min_sq > _max_p0_d2():
+            raise ValueError(f"total power {p_db} dB is beyond the analysis: P0 d_min^2 / sin^2(theta) "
+                             "overflows at the smallest quadrature node")
+        return cls(pa.P0, pa.A, alpha_sd, alpha, d_min_sq, M)
 
 
 @dataclass
@@ -135,6 +139,13 @@ def _theta_rule():
     for a in rule:
         a.flags.writeable = False
     return rule
+
+
+@functools.cache
+def _max_p0_d2() -> float:
+    """Largest P0 * d_min_sq for which the integrand's P0 d_min^2 / sin^2(theta) terms, and their sums,
+    stay finite at every node, with a factor 2 to spare for rounding."""
+    return float(0.5 * np.finfo(float).max * _theta_rule()[2].min())
 
 
 def pep(params: PepParams) -> float:

@@ -29,6 +29,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _SPEED_OF_LIGHT = 3e8
+_MAX_GRID_POINTS = 10_001  # e.g. 0:0.01:100
 
 
 def _write(path, text: str) -> None:
@@ -48,7 +49,8 @@ def doppler_normalized(f_c_hz: float, t_s_seconds: float, v_kmh: float) -> float
 
 
 def parse_grid(spec: str) -> tuple:
-    """Parse a start:step:stop grid (inclusive stop), or one value, into a tuple of finite floats."""
+    """Parse a start:step:stop grid (inclusive stop) of at most _MAX_GRID_POINTS points, or one value,
+    into a tuple of finite floats."""
     values = [float(p) for p in spec.split(":")]
     if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
         raise ValueError(f"grid must be START:STEP:STOP or one value, all finite, got {spec!r}")
@@ -57,7 +59,9 @@ def parse_grid(spec: str) -> tuple:
     start, step, stop = values
     if step <= 0 or stop < start:
         raise ValueError(f"malformed grid {spec!r}")
-    n = int(round((stop - start) / step)) + 1
+    n = round(min((stop - start) / step, _MAX_GRID_POINTS)) + 1  # min: the span may overflow to inf
+    if n > _MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     return tuple(round(start + i * step, 9) for i in range(n))
 
 

@@ -4,8 +4,20 @@ Schemes evaluated at the same power level share channel and noise draws
 (common random numbers): the generation stream is keyed by (seed, power, M)
 only, so CDD/TVD/genie comparisons are paired and their orderings are not
 clouded by independent sampling noise.
+
+Each chunk of frames has its own stream, keyed by (seed, power, M, chunk index),
+so a point's chunks run in rounds of W, one per usable CPU (`taskset` limits W).
+Their counts are added in chunk order, the stopping rule is checked before each
+chunk is added, and the chunks of a round computed past the stop are discarded:
+results do not depend on W, and a point that stops on its error count wastes at
+most W - 1 chunks.  The numpy draws, `lfilter`, the ufuncs and BLAS release the
+GIL, so threads give a real speed-up.  The thread pool is made per call, since
+threads do not survive a `fork`.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +35,10 @@ from .link import Constellation, PowerAllocation, diff_encode, transmit
 from .receiver import Scheme
 
 __all__ = ["RunConfig", "BerEstimate", "run_point_schemes", "run_sweep", "diversity_slope"]
+
+# chunks computed at once by run_point_schemes: the CPUs this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -97,32 +113,63 @@ def _scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, pa: PowerAllo
     return receiver.weights_opt_genie(alpha_sd, alpha, pa.P0, pa.A, h_rd[:, :-1])
 
 
+def _chunk_errors(config: RunConfig, p_db: float, chunk_index: int, n_frames: int, schemes, specs,
+                  pa: PowerAllocation, const: Constellation) -> list[int]:
+    """Bit errors of each scheme on chunk `chunk_index` of the point, from its own stream."""
+    rng = _chunk_rng(config, p_db, chunk_index)
+    data, y_sd, y_rd, h_rd = _generate_chunk(config, specs, pa, const, rng, n_frames)
+    d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
+    alpha_sd, alpha = config.scenario.autocorrs()
+    counts = []
+    for scheme in schemes:
+        zeta = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd).apply(d_sd, d_rd)
+        counts.append(int(receiver.frame_bit_errors(zeta, data, const).sum()))
+    return counts
+
+
 def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
     """Simulate one power level for several schemes over shared channel draws.
 
     Runs until every scheme has min_bit_errors or the symbol budget of
     max_symbols // frame_len whole frames is spent.  Returns {scheme: BerEstimate}.
+
+    Chunks run in rounds of W = _WORKERS: this thread computes the first chunk
+    of a round and W - 1 helper threads the rest.  Their counts are added in
+    chunk order with the stopping rule checked before each chunk, and chunks
+    computed past the stop are discarded, so every result equals a serial
+    run's; a point that stops on its error count wastes at most W - 1 chunks.
     """
     schemes = list(schemes)
     pa = PowerAllocation.equal_from_total_db(p_db)
     const = Constellation.of(config.M)
     scn = config.scenario
-    alpha_sd, alpha = scn.autocorrs()
     specs = tuple(FadingSpec(f, generator=config.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
     max_frames = config.max_symbols // config.frame_len
-    errors = {s: 0 for s in schemes}
+    per_chunk = config.frames_per_chunk
+    n_chunks = -(-max_frames // per_chunk)
+    workers = min(_WORKERS, n_chunks)
+
+    def chunk_frames(i):
+        return min(per_chunk, max_frames - i * per_chunk)
+
+    def chunk_errors(i):
+        return _chunk_errors(config, p_db, i, chunk_frames(i), schemes, specs, pa, const)
+
+    errors = dict.fromkeys(schemes, 0)
     frames = 0
-    chunk_index = 0
-    while min(errors.values()) < config.min_bit_errors and frames < max_frames:
-        n_frames = min(config.frames_per_chunk, max_frames - frames)
-        rng = _chunk_rng(config, p_db, chunk_index)
-        data, y_sd, y_rd, h_rd = _generate_chunk(config, specs, pa, const, rng, n_frames)
-        d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
-        for scheme in schemes:
-            zeta = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd).apply(d_sd, d_rd)
-            errors[scheme] += int(receiver.frame_bit_errors(zeta, data, const).sum())
-        frames += n_frames
-        chunk_index += 1
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for first in range(0, n_chunks, workers):
+            if min(errors.values()) >= config.min_bit_errors:
+                break
+            rest = range(first + 1, min(first + workers, n_chunks))
+            futures = [pool.submit(chunk_errors, i) for i in rest]
+            counts = [chunk_errors(first)] + [f.result() for f in futures]
+            for i, chunk in enumerate(counts, first):
+                if min(errors.values()) >= config.min_bit_errors:
+                    break
+                for scheme, c in zip(schemes, chunk):
+                    errors[scheme] += c
+                frames += chunk_frames(i)
     bits = frames * config.frame_len * const.bits_per_symbol
     out = {}
     for scheme in schemes:

@@ -1,5 +1,7 @@
 """Command-line interface: CSV contract, config handling, exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,11 @@ class TestHelpers:
             parse_grid("10:5:0")
         with pytest.raises(ValueError):
             parse_grid("0:-5:30")
+
+    def test_parse_grid_bounds_its_length(self):
+        assert len(parse_grid("0:0.01:100")) == 10_001
+        with pytest.raises(ValueError, match="more than 10001 points"):
+            parse_grid("0:0.01:100.01")
 
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "a.cfg"
@@ -171,11 +178,23 @@ class TestSweepCommand:
     def test_malformed_grid_exits_usage(self):
         assert main(["sweep", "--scenario", "I", "--pdb", "5:1", "--no-sim"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("pdb", ["4000", "nan", "inf", "0:inf:10", "-inf:5:0"])
+    @pytest.mark.parametrize("pdb", ["4000", "nan", "inf", "0:inf:10", "-inf:5:0", "2900", "0:1e-6:1", "0:1e-9:1",
+                                     "-1e308:1:1e308"])
     def test_power_out_of_range_exits_usage(self, capsys, pdb):
         rc = main(["sweep", "--scenario", "I", "--scheme", "tvd", f"--pdb={pdb}", "--no-sim"])
         assert rc == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_huge_finite_power_is_named_before_any_warning(self, capsys):
+        argv = ["sweep", "--no-sim", "--scenario", "I", "--scheme", "tvd", "--pdb"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["2900"]) == EXIT_USAGE
+            assert "total power 2900.0 dB" in capsys.readouterr().err
+            assert main(argv + ["2500"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert row[0] == "2500"
+        assert 0.0 < float(row[6]) < 1e-9
 
     def test_theory_defined_at_negative_power(self, capsys):
         rc = main(["sweep", "--no-sim", "--scenario", "III", "--m", "2", "--scheme", "tvd", "--pdb", "-20:5:30"])

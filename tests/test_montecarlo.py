@@ -13,6 +13,7 @@ from dafrelay.channel import (
     FadingSpec,
     autocorr,
 )
+from dafrelay import montecarlo
 from dafrelay.montecarlo import (
     BerEstimate,
     RunConfig,
@@ -133,6 +134,67 @@ class TestDeterminism:
         again = run_point_schemes(cfg, 10.0, schemes)
         assert sweep[1] == again[Scheme.CDD]
         assert sweep[3] == again[Scheme.TVD]
+
+
+class TestWorkerCount:
+    """Chunks computed on 1, 2 or 3 threads give the serial result in every field."""
+
+    WORKERS = (1, 2, 3)
+
+    def run_each(self, monkeypatch, cfg, p_db, schemes=(Scheme.CDD, Scheme.TVD)):
+        out = []
+        for workers in self.WORKERS:
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            out.append(run_point_schemes(cfg, p_db, schemes))
+        return out
+
+    def test_budget_bound_point_with_partial_last_chunk(self, monkeypatch):
+        # 7 frames in chunks of 2, 2, 2, 1: the last round of every W holds the short chunk
+        cfg = RunConfig(SCENARIOS["II"], M=4, p_db_grid=(10.0,), min_bit_errors=10**9, max_symbols=7 * 300,
+                        frame_len=300, frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=11)
+        serial, *threaded = self.run_each(monkeypatch, cfg, 10.0)
+        assert serial[Scheme.TVD].bits == 7 * 300 * 2
+        assert serial[Scheme.TVD].bit_errors > 0
+        assert all(point == serial for point in threaded)
+
+    def test_error_stopped_point_discards_chunks_past_the_stop(self, monkeypatch):
+        # the serial run stops after 5 chunks of 2 frames, inside a round for W = 2 and W = 3
+        cfg = RunConfig(SCENARIOS["I"], p_db_grid=(10.0,), min_bit_errors=50, max_symbols=10**5, frame_len=100,
+                        frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=8)
+        calls = []  # the worker count of every chunk computed
+        generate = montecarlo._generate_chunk
+
+        def counting(*args):
+            calls.append(montecarlo._WORKERS)
+            return generate(*args)
+
+        monkeypatch.setattr(montecarlo, "_generate_chunk", counting)
+        serial, *threaded = self.run_each(monkeypatch, cfg, 10.0)
+        assert serial[Scheme.TVD].bits == 5 * 2 * 100
+        assert not serial[Scheme.TVD].truncated
+        # whole rounds are computed: 6 chunks for W = 2 and 3, one of them past the stop
+        assert [calls.count(w) for w in self.WORKERS] == [5, 6, 6]
+        assert all(point == serial for point in threaded)
+
+    def test_exception_in_helper_chunk_reaches_caller(self, monkeypatch):
+        class ChunkFailed(RuntimeError):
+            pass
+
+        # 3 frames in chunks of 2 and 1: only chunk 1 has one frame, and helpers compute it when W > 1
+        cfg = RunConfig(SCENARIOS["I"], p_db_grid=(10.0,), min_bit_errors=10**9, max_symbols=3 * 100,
+                        frame_len=100, frames_per_chunk=2, generator=FadingGenerator.AR1)
+        generate = montecarlo._generate_chunk
+
+        def failing(config, specs, pa, const, rng, n_frames):
+            if n_frames == 1:
+                raise ChunkFailed("chunk 1")
+            return generate(config, specs, pa, const, rng, n_frames)
+
+        monkeypatch.setattr(montecarlo, "_generate_chunk", failing)
+        for workers in self.WORKERS:
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            with pytest.raises(ChunkFailed):
+                run_point_schemes(cfg, 10.0, [Scheme.TVD])
 
 
 class TestPairedSchemes:
