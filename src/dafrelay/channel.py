@@ -5,6 +5,7 @@ lag-1 autocorrelation is exact by construction, and an improved-Jakes
 sum-of-sinusoids simulator whose autocorrelation tracks J0(2*pi*f*k), with the
 draws and terms of the classical cosine form summed as a matmul over k = b*B + j.
 The one-term cascade approximation runs the AR(1) recursion too (`_ar1`), scaled by h_rd.
+A link used every n-th symbol (n = 2 for symbol-by-symbol transmission) is the link at n*f.
 
 All generators can emit a batch of independent realizations (a 2D array with
 one realization per row).  Statistical validation of strongly correlated
@@ -51,20 +52,17 @@ class CascadedModelKind(Enum):
 
 @dataclass(frozen=True)
 class FadingSpec:
-    """One fading link: normalized Doppler, channel-use lag and backend.
+    """One fading link: normalized Doppler per channel use and backend.
 
-    lag_n = 1 for block-by-block transmission, 2 for symbol-by-symbol.
+    A link used every n-th symbol is FadingSpec(n*f).
     """
 
     f: float
-    lag_n: int = 1
     generator: FadingGenerator = FadingGenerator.AR1
 
     def __post_init__(self):
         if not 0.0 <= self.f < 0.5:
             raise ValueError(f"normalized Doppler must be in [0, 0.5), got {self.f}")
-        if self.lag_n not in (1, 2):
-            raise ValueError(f"lag_n must be 1 or 2, got {self.lag_n}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,9 @@ class Scenario:
             if not 0.0 <= f < 0.5:
                 raise ValueError(f"normalized Doppler must be in [0, 0.5), got {f}")
 
-    def autocorrs(self, lag_n: int = 1) -> tuple[float, float]:
-        """(alpha_sd, alpha): autocorrelations at lag_n of the direct link and of the cascade."""
-        a_sd, a_sr, a_rd = (autocorr(FadingSpec(f, lag_n)) for f in (self.f_sd, self.f_sr, self.f_rd))
+    def autocorrs(self) -> tuple[float, float]:
+        """(alpha_sd, alpha): lag-1 autocorrelations of the direct link and of the cascade."""
+        a_sd, a_sr, a_rd = (autocorr(FadingSpec(f)) for f in (self.f_sd, self.f_sr, self.f_rd))
         return a_sd, a_sr * a_rd
 
 
@@ -104,8 +102,8 @@ class ChannelStats:
 
 
 def autocorr(spec: FadingSpec) -> float:
-    """Lag-1 autocorrelation of the link: J0(2*pi*f*lag_n)."""
-    return float(bessel_j0(2.0 * np.pi * spec.f * spec.lag_n))
+    """Lag-1 autocorrelation of the link: J0(2*pi*f)."""
+    return float(bessel_j0(2.0 * np.pi * spec.f))
 
 
 def _crandn(rng, shape):
@@ -147,7 +145,7 @@ _N_SINUSOIDS = 16  # sinusoid pairs; keeps autocorr error below test tolerances
 _SOS_GEMM_OUT = 100 * 101
 
 
-def _gen_sos(f_eff, length, rng, n_real):
+def _gen_sos(f, length, rng, n_real):
     """Improved-Jakes sum of sinusoids (Zheng & Xiao, IEEE Trans. Commun. 51(6), 2003).
 
     theta, phi, psi are drawn as in the classical form sum_n cos(w_n*k + phi_n), whose terms this
@@ -162,7 +160,7 @@ def _gen_sos(f_eff, length, rng, n_real):
     phi = rng.uniform(-np.pi, np.pi, (n_real, _N_SINUSOIDS))
     psi = rng.uniform(-np.pi, np.pi, (n_real, _N_SINUSOIDS))
     alpha_n = (2.0 * np.pi * n - np.pi + theta) / (4.0 * _N_SINUSOIDS)
-    wd = 2.0 * np.pi * f_eff
+    wd = 2.0 * np.pi * f
     block = int(np.ceil(np.sqrt(length)))
     n_blocks = -(-length // block)
     groups = -(-n_blocks // max(1, _SOS_GEMM_OUT // block))
@@ -190,7 +188,7 @@ def gen_fading(spec: FadingSpec, length: int, rng, realizations: int | None = No
     if spec.generator is FadingGenerator.AR1:
         h = _gen_ar1(autocorr(spec), length, rng, n_real)
     else:
-        h = _gen_sos(spec.f * spec.lag_n, length, rng, n_real)
+        h = _gen_sos(spec.f, length, rng, n_real)
     return h[0] if realizations is None else h
 
 
@@ -210,8 +208,6 @@ def gen_cascaded(
     h[0] = e_0*h_rd[0], drawing h_rd, e_0, then e_sr.  h_rd is returned for the
     genie combiner.
     """
-    if spec_sr.lag_n != spec_rd.lag_n:
-        raise ValueError("spec_sr and spec_rd must share lag_n")
     h_rd = gen_fading(spec_rd, length, rng, realizations)
     if kind is CascadedModelKind.EXACT_PRODUCT:
         return gen_fading(spec_sr, length, rng, realizations) * h_rd, h_rd

@@ -30,6 +30,7 @@ EXIT_NUMERIC = 3
 
 _SPEED_OF_LIGHT = 3e8
 _MAX_GRID_POINTS = 10_001  # e.g. 0:0.01:100
+_M_CHOICES = (2, 4)  # constellation orders of --m and of the config key m
 
 
 def _write(path, text: str) -> None:
@@ -111,7 +112,7 @@ def _resolve_schemes(value: str) -> list[Scheme]:
 # sweep config key -> (RunConfig field, parser of its value); an absent key keeps RunConfig's default.
 # The other keys a sweep config accepts are "scenario", "schemes" and _SCENARIO_KEYS.
 _RUN_KEYS = {
-    "m": ("M", int),
+    "m": ("M", lambda value: _lookup({m: m for m in _M_CHOICES}, "m", int(value))),
     "p_db": ("p_db_grid", parse_grid),
     "seed": ("master_seed", int),
     "min_bit_errors": ("min_bit_errors", int),
@@ -161,7 +162,7 @@ def cmd_validate_channel(args) -> int:
     if n_samples < 10**4:
         raise ValueError("validate-channel needs at least 10^4 samples")
     frame_len = 10
-    n_frames = max(2, n_samples // frame_len)
+    n_frames = n_samples // frame_len
     spec_sr, spec_rd = FadingSpec(scenario.f_sr), FadingSpec(scenario.f_rd)
     _, alpha = scenario.autocorrs()
 
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a BER power sweep (simulation + theory + floors)")
     p_sweep.add_argument("--config", help="flat key=value configuration file")
     p_sweep.add_argument("--scenario", choices=sorted(SCENARIOS), help="built-in scenario")
-    p_sweep.add_argument("--m", type=int, choices=(2, 4), help="constellation order")
+    p_sweep.add_argument("--m", type=int, choices=_M_CHOICES, help="constellation order")
     p_sweep.add_argument("--scheme", help="cdd, tvd, opt, a comma list, or 'all'")
     p_sweep.add_argument("--pdb", help="power grid START:STEP:STOP in dB")
     p_sweep.add_argument("--seed", type=int, help="master seed")

@@ -16,10 +16,14 @@ __all__ = [
 ]
 
 
-def psk_d_min_sq(M: int) -> float:
-    """Squared minimum distance 4 sin^2(pi/M) of unit-energy M-PSK, M a power of 2 >= 2."""
+def _check_order(M: int) -> None:
     if M < 2 or M & (M - 1):
         raise ValueError(f"M must be a power of 2 >= 2, got {M}")
+
+
+def psk_d_min_sq(M: int) -> float:
+    """Squared minimum distance 4 sin^2(pi/M) of unit-energy M-PSK, M a power of 2 >= 2."""
+    _check_order(M)
     return float(4.0 * np.sin(np.pi / M) ** 2)
 
 
@@ -35,11 +39,10 @@ class Constellation:
     symbols: np.ndarray = field(repr=False)
     gray_of_index: np.ndarray = field(repr=False)
     index_of_gray: np.ndarray = field(repr=False)
-    d_min_sq: float
 
     @classmethod
     def of(cls, M: int) -> "Constellation":
-        d_min_sq = psk_d_min_sq(M)
+        _check_order(M)
         m = np.arange(M)
         symbols = np.exp(2j * np.pi * m / M)
         # the reference point and any symbols on the axes are exact
@@ -53,7 +56,7 @@ class Constellation:
         gray = m ^ (m >> 1)
         inv = np.empty(M, dtype=int)
         inv[gray] = m
-        return cls(M, symbols, gray, inv, d_min_sq)
+        return cls(M, symbols, gray, inv)
 
     @property
     def bits_per_symbol(self) -> int:

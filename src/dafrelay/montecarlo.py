@@ -12,12 +12,11 @@ chunk is added, and the chunks of a round computed past the stop are discarded:
 results do not depend on W, and a point that stops on its error count wastes at
 most W - 1 chunks.  The numpy draws, `lfilter`, the ufuncs and BLAS release the
 GIL, so threads give a real speed-up.  The thread pool is made per call, since
-threads do not survive a `fork`.
+threads do not survive a `fork`; it starts no thread for a one-chunk point.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ class RunConfig:
     master_seed: int = 0
     generator: FadingGenerator = FadingGenerator.SUM_OF_SINUSOIDS
     cascaded_model: CascadedModelKind = CascadedModelKind.EXACT_PRODUCT
-    with_noise: bool = True
     frames_per_chunk: int = 32
 
     def __post_init__(self):
@@ -100,7 +98,7 @@ def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Conste
 
     h_sd = gen_fading(spec_sd, L + 1, rng, n_frames)
     h, h_rd = gen_cascaded(spec_sr, spec_rd, config.cascaded_model, L + 1, rng, n_frames)
-    obs = transmit(s, h_sd, h, h_rd, pa, rng, config.with_noise)
+    obs = transmit(s, h_sd, h, h_rd, pa, rng)
     return data, obs.y_sd, obs.y_rd, h_rd
 
 
@@ -111,20 +109,6 @@ def _scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, pa: PowerAllo
         return receiver.weights_tvd(alpha_sd, alpha, pa.P0, pa.A)
     # genie weights track the gain entering the previous relayed observation
     return receiver.weights_opt_genie(alpha_sd, alpha, pa.P0, pa.A, h_rd[:, :-1])
-
-
-def _chunk_errors(config: RunConfig, p_db: float, chunk_index: int, n_frames: int, schemes, specs,
-                  pa: PowerAllocation, const: Constellation) -> list[int]:
-    """Bit errors of each scheme on chunk `chunk_index` of the point, from its own stream."""
-    rng = _chunk_rng(config, p_db, chunk_index)
-    data, y_sd, y_rd, h_rd = _generate_chunk(config, specs, pa, const, rng, n_frames)
-    d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
-    alpha_sd, alpha = config.scenario.autocorrs()
-    counts = []
-    for scheme in schemes:
-        zeta = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd).apply(d_sd, d_rd)
-        counts.append(int(receiver.frame_bit_errors(zeta, data, const).sum()))
-    return counts
 
 
 def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
@@ -144,6 +128,7 @@ def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
     const = Constellation.of(config.M)
     scn = config.scenario
     specs = tuple(FadingSpec(f, generator=config.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+    alpha_sd, alpha = scn.autocorrs()
     max_frames = config.max_symbols // config.frame_len
     per_chunk = config.frames_per_chunk
     n_chunks = -(-max_frames // per_chunk)
@@ -153,11 +138,19 @@ def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
         return min(per_chunk, max_frames - i * per_chunk)
 
     def chunk_errors(i):
-        return _chunk_errors(config, p_db, i, chunk_frames(i), schemes, specs, pa, const)
+        """Bit errors of each scheme on chunk i of the point, from its own stream."""
+        rng = _chunk_rng(config, p_db, i)
+        data, y_sd, y_rd, h_rd = _generate_chunk(config, specs, pa, const, rng, chunk_frames(i))
+        d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
+        counts = []
+        for scheme in schemes:
+            zeta = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd).apply(d_sd, d_rd)
+            counts.append(int(receiver.frame_bit_errors(zeta, data, const).sum()))
+        return counts
 
     errors = dict.fromkeys(schemes, 0)
     frames = 0
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         for first in range(0, n_chunks, workers):
             if min(errors.values()) >= config.min_bit_errors:
                 break

@@ -110,9 +110,6 @@ def detect(zeta, constellation: Constellation):
     return np.argmax(scores, axis=-1)
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
-
-
 def frame_bit_errors(zeta, data, constellation: Constellation):
     """Bit errors per frame (last axis) of gray_of_index[detect(zeta)] against the sent patterns.
 
@@ -122,7 +119,8 @@ def frame_bit_errors(zeta, data, constellation: Constellation):
     """
     zeta = np.asarray(zeta)
     if constellation.M > 4:
-        return _POPCOUNT[data ^ constellation.gray_of_index[detect(zeta, constellation)]].sum(axis=-1)
+        wrong = data ^ constellation.gray_of_index[detect(zeta, constellation)]
+        return sum(np.count_nonzero(wrong >> b & 1, axis=-1) for b in range(constellation.bits_per_symbol))
     # contiguous copies: comparisons on the strided .real/.imag views run several times slower
     a = np.ascontiguousarray(zeta.real)
     if constellation.M == 2:

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
+from dafrelay.link import Constellation, PowerAllocation, diff_encode, psk_d_min_sq, transmit
 
 
 class TestConstellation:
     def test_bpsk_points(self):
         c = Constellation.of(2)
         assert np.array_equal(c.symbols, np.array([1.0 + 0j, -1.0 + 0j]))
-        assert c.d_min_sq == pytest.approx(4.0, abs=1e-15)
+        assert psk_d_min_sq(2) == pytest.approx(4.0, abs=1e-15)
         assert c.bits_per_symbol == 1
 
     def test_qpsk_points(self):
         c = Constellation.of(4)
         assert np.array_equal(c.symbols, np.array([1.0, 1j, -1.0, -1j]))
-        assert c.d_min_sq == pytest.approx(2.0, abs=1e-15)
+        assert psk_d_min_sq(4) == pytest.approx(2.0, abs=1e-15)
         assert c.bits_per_symbol == 2
 
     def test_gray_mapping_adjacent_symbols_differ_in_one_bit(self):

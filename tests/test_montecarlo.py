@@ -1,5 +1,8 @@
 """Monte Carlo BER machinery: stopping rules, determinism, paired-scheme runs."""
 
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,12 +69,11 @@ class TestStoppingRules:
         assert est.ber == est.bit_errors / est.bits
 
     def test_truncation_at_symbol_budget(self):
-        # noiseless quasi-static run: no errors, must stop on the budget
+        # an error target no run of this budget can reach: must stop on the budget
         cfg = RunConfig(
             scenario=SCENARIOS["I"],
             p_db_grid=(40.0,),
-            with_noise=False,
-            min_bit_errors=50,
+            min_bit_errors=10**9,
             max_symbols=3 * 10**4,
             frame_len=10**3,
             generator=FadingGenerator.AR1,
@@ -175,6 +177,27 @@ class TestWorkerCount:
         # whole rounds are computed: 6 chunks for W = 2 and 3, one of them past the stop
         assert [calls.count(w) for w in self.WORKERS] == [5, 6, 6]
         assert all(point == serial for point in threaded)
+
+    def test_one_chunk_point_starts_no_thread(self, monkeypatch):
+        # 2 frames in one chunk of 2: the calling thread computes it for every W
+        cfg = RunConfig(SCENARIOS["II"], M=4, p_db_grid=(10.0,), min_bit_errors=10**9, max_symbols=2 * 300,
+                        frame_len=300, frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=11)
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        serial, *threaded = self.run_each(monkeypatch, cfg, 10.0)
+        assert serial[Scheme.TVD].bits == 2 * 300 * 2
+        assert all(point == serial for point in threaded)
+        assert started == []
+        # the counter sees the helper of a two-chunk point
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        run_point_schemes(replace(cfg, frames_per_chunk=1), 10.0, [Scheme.TVD])
+        assert len(started) == 1
 
     def test_exception_in_helper_chunk_reaches_caller(self, monkeypatch):
         class ChunkFailed(RuntimeError):
@@ -280,7 +303,7 @@ def test_frame_errors_match_combine_detect(M, cascade):
     cfg = RunConfig(scn, M=M, frame_len=500, generator=FadingGenerator.AR1, cascaded_model=cascade)
     pa = PowerAllocation.equal_from_total_db(12.0)
     const = Constellation.of(M)
-    specs = tuple(FadingSpec(f, 1, cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+    specs = tuple(FadingSpec(f, generator=cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
     alpha_sd, alpha = scn.autocorrs()
     popcount = np.array([bin(i).count("1") for i in range(M)])
     for chunk_index in range(2):

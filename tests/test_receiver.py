@@ -187,3 +187,15 @@ class TestFrameBitErrors:
         for d in range(M):
             errors = frame_bit_errors(zeta[:, None], np.full((zeta.size, 1), d), c)
             assert errors.tolist() == [bin(d ^ int(g)).count("1") for g in expected]
+
+    def test_orders_above_256(self):
+        # Gray patterns of M = 512 reach 511, so the xor of pattern and decision has 9 bit planes
+        c = Constellation.of(512)
+        rng = np.random.default_rng(12)
+        zeta = c.symbols[rng.integers(0, 512, (3, 4))] * (1.0 + 0.01j)
+        data = np.array([[511, 0, 256, 300], [1, 510, 255, 128], [257, 384, 2, 449]])
+        decisions = c.gray_of_index[detect(zeta, c)]
+        expected = [sum(bin(int(d) ^ int(g)).count("1") for d, g in zip(row_d, row_g))
+                    for row_d, row_g in zip(data, decisions)]
+        assert max(expected) > 8
+        assert frame_bit_errors(zeta, data, c).tolist() == expected
