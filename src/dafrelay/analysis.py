@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import PowerAllocation, psk_d_min_sq
+from .link import PowerAllocation, _check_order, psk_d_min_sq
 from .specials import exp_e1_scaled
 
 __all__ = [
@@ -206,8 +206,7 @@ def error_floor(params: PepParams) -> float:
 
 def ser_ber_from_pep(pep_value: float, M: int) -> tuple[float, float]:
     """Nearest-neighbour mapping from PEP to (SER, BER); exact for DBPSK."""
-    if M < 2:
-        raise ValueError("M must be >= 2")
+    _check_order(M)
     if M == 2:
         return pep_value, pep_value
     ser = min(1.0, 2.0 * pep_value)

@@ -10,11 +10,9 @@ from .link import Constellation
 __all__ = [
     "Scheme",
     "CombinerWeights",
-    "NoiseVariances",
     "weights_cdd",
     "weights_tvd",
     "weights_opt_genie",
-    "noise_variances",
     "diff_products",
     "combine",
     "detect",
@@ -43,12 +41,6 @@ class CombinerWeights:
         return self.b0 * d_sd + self.b1 * d_rd
 
 
-@dataclass(frozen=True)
-class NoiseVariances:
-    sigma_n_sd_sq: float
-    sigma_n_rd_sq: float | np.ndarray
-
-
 def weights_cdd(A: float) -> CombinerWeights:
     """Classical weights, derived for quasi-static fading."""
     if A <= 0:
@@ -56,21 +48,19 @@ def weights_cdd(A: float) -> CombinerWeights:
     return CombinerWeights(0.5, 1.0 / (2.0 * (1.0 + A * A)))
 
 
-def weights_tvd(alpha_sd: float, alpha: float, P0: float, A: float) -> CombinerWeights:
-    """Autocorrelation-aware weights built from the average equivalent-noise powers."""
+def _mrc_weights(alpha_sd, alpha, P0, A, eta) -> CombinerWeights:
+    """Each branch's autocorrelation over its equivalent-noise variance at relay-destination gain eta.
+
+    The relayed variance is linear in eta, so eta = 1 (E|h_rd|^2) gives the average-noise weights.
+    """
     b0 = alpha_sd / (1.0 + alpha_sd**2 + (1.0 - alpha_sd**2) * P0)
-    b1 = alpha / ((1.0 + alpha**2) * (1.0 + A * A) + (1.0 - alpha**2) * A * A * P0)
+    b1 = alpha / ((1.0 + alpha**2) * (1.0 + A * A * eta) + (1.0 - alpha**2) * A * A * P0 * eta)
     return CombinerWeights(b0, b1)
 
 
-def noise_variances(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_sample) -> NoiseVariances:
-    """Per-branch equivalent-noise variances conditioned on the relay-destination gain."""
-    eta = np.abs(np.asarray(h_rd_sample)) ** 2
-    sigma_sq = A * A * eta + 1.0
-    rho = A * A * P0 * eta / sigma_sq
-    sd = 1.0 + alpha_sd**2 + (1.0 - alpha_sd**2) * P0
-    rd = sigma_sq * (1.0 + alpha**2 + (1.0 - alpha**2) * rho)
-    return NoiseVariances(float(sd), rd[()] if np.ndim(rd) == 0 else rd)
+def weights_tvd(alpha_sd: float, alpha: float, P0: float, A: float) -> CombinerWeights:
+    """Autocorrelation-aware weights built from the average equivalent-noise powers."""
+    return _mrc_weights(alpha_sd, alpha, P0, A, 1.0)
 
 
 def weights_opt_genie(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_sample) -> CombinerWeights:
@@ -80,9 +70,7 @@ def weights_opt_genie(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_s
     k-1), matching the conditional variance of that branch; it may be an array
     to weight a whole sequence of decisions.
     """
-    nv = noise_variances(alpha_sd, alpha, P0, A, h_rd_sample)
-    b1 = alpha / nv.sigma_n_rd_sq
-    return CombinerWeights(alpha_sd / nv.sigma_n_sd_sq, b1)
+    return _mrc_weights(alpha_sd, alpha, P0, A, (np.abs(np.asarray(h_rd_sample)) ** 2)[()])
 
 
 def diff_products(y_sd, y_rd):

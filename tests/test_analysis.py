@@ -241,8 +241,9 @@ class TestSerBerMapping:
         assert ser == 1.0
 
     def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            ser_ber_from_pep(0.01, 1)
+        for M in (1, 3, 6):
+            with pytest.raises(ValueError):
+                ser_ber_from_pep(0.01, M)
 
 
 class TestPepPoint:

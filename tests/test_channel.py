@@ -290,6 +290,13 @@ class TestEnvelopeDistribution:
         above[:3] = _HIST_EDGES[-1] + 1e-9
         assert envelope_chi_square(on_edge) == envelope_chi_square(above)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_chi_square_rejects_non_finite_samples(self, bad):
+        lam = np.abs(rng_for(19).standard_normal(20_000))
+        lam[:50] = bad
+        with pytest.raises(ValueError, match="envelope_chi_square"):
+            envelope_chi_square(lam)
+
     def test_chi_square_accepts_true_distribution(self):
         rng = rng_for(12)
         # i.i.d. cascade draws: product of two independent Rayleigh envelopes

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dafrelay import analysis
+from dafrelay import analysis, cli
 from dafrelay.cli import (
     CSV_HEADER,
     EXIT_NUMERIC,
@@ -245,3 +245,17 @@ class TestDopplerCommand:
     def test_non_finite_input_exits_usage(self, capsys, argv):
         assert main(["doppler"] + argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("run_sweep", ["sweep", "--scenario", "I", "--m", "2", "--scheme", "tvd", "--pdb", "10"]),
+    ("gen_cascaded", ["validate-channel", "--scenario", "III", "--samples", "20000"]),
+])
+def test_memory_error_exits_usage(monkeypatch, capsys, target, argv):
+    # numpy raises MemoryError before allocating an array it cannot hold
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, target, refuse)
+    assert main(argv) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err

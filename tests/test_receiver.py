@@ -10,7 +10,6 @@ from dafrelay.receiver import (
     combine,
     detect,
     frame_bit_errors,
-    noise_variances,
     weights_cdd,
     weights_opt_genie,
     weights_tvd,
@@ -61,14 +60,15 @@ class TestTvdWeights:
         assert tvd.b0 < weights_cdd(pa.A).b0
 
     def test_closed_form(self):
-        alpha_sd, alpha, P0, A = 0.98, 0.95, 10.0, 0.9
-        w = weights_tvd(alpha_sd, alpha, P0, A)
-        assert w.b0 == pytest.approx(
-            alpha_sd / (1 + alpha_sd**2 + (1 - alpha_sd**2) * P0), rel=1e-14
-        )
-        assert w.b1 == pytest.approx(
-            alpha / ((1 + alpha**2) * (1 + A**2) + (1 - alpha**2) * A**2 * P0), rel=1e-14
-        )
+        # exact: the seeded outputs depend on every bit of these weights
+        cases = [(0.98, 0.95, 10.0, 0.9)]
+        for p_db in (0.0, 30.0, 60.0):
+            pa = PowerAllocation.equal_from_total_db(p_db)
+            cases += [(a_sd, a, pa.P0, pa.A) for a_sd, a in ((0.9990130, 0.998), (0.5, 0.25))]
+        for alpha_sd, alpha, P0, A in cases:
+            w = weights_tvd(alpha_sd, alpha, P0, A)
+            assert w.b0 == alpha_sd / (1 + alpha_sd**2 + (1 - alpha_sd**2) * P0)
+            assert w.b1 == alpha / ((1 + alpha**2) * (1 + A * A) + (1 - alpha**2) * A * A * P0)
 
 
 class TestGenieWeights:
@@ -92,9 +92,18 @@ class TestGenieWeights:
         assert w.b1[0] > w.b1[1] > w.b1[2]
 
     def test_noise_variance_phase_invariance(self):
-        nv1 = noise_variances(0.999, 0.99, 5.0, 0.8, 1.3 * np.exp(0.7j))
-        nv2 = noise_variances(0.999, 0.99, 5.0, 0.8, 1.3)
-        assert nv1.sigma_n_rd_sq == pytest.approx(nv2.sigma_n_rd_sq, rel=1e-14)
+        w1 = weights_opt_genie(0.999, 0.99, 5.0, 0.8, 1.3 * np.exp(0.7j))
+        w2 = weights_opt_genie(0.999, 0.99, 5.0, 0.8, 1.3)
+        assert w1.b1 == pytest.approx(w2.b1, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha, P0, A", [(0.99, 5.0, 0.8), (0.9, 500.0, 0.999), (0.5, 0.5, 0.5)])
+    def test_tvd_is_genie_averaged_over_relay_gain(self, alpha, P0, A):
+        # TVD divides by the average equivalent-noise power over eta = |h_rd|^2 ~ Exp(1). That
+        # power is linear in eta, so the 2-node Gauss-Laguerre rule gives its mean exactly.
+        nodes, wts = np.polynomial.laguerre.laggauss(2)
+        genie_b1 = weights_opt_genie(0.999, alpha, P0, A, np.sqrt(nodes)).b1
+        mean_noise = np.sum(wts * alpha / genie_b1)
+        assert mean_noise == pytest.approx(alpha / weights_tvd(0.999, alpha, P0, A).b1, rel=1e-14)
 
 
 class TestCombineDetect:
