@@ -26,12 +26,11 @@ from .channel import (
     gen_fading,
     validate_stats,
 )
-from .link import Constellation, LinkObservation, PowerAllocation, diff_encode, transmit
+from .link import Constellation, PowerAllocation, diff_encode, transmit
 from .montecarlo import BerEstimate, RunConfig, diversity_slope, run_point_schemes, run_sweep
 from .receiver import (
     CombinerWeights,
     Scheme,
-    combine,
     detect,
     weights_cdd,
     weights_opt_genie,

@@ -45,7 +45,6 @@ class PepParams:
     alpha_sd: float
     alpha: float
     d_min_sq: float
-    M: int
 
     def __post_init__(self):
         if self.P0 <= 0 or self.A <= 0 or self.d_min_sq <= 0:
@@ -61,7 +60,7 @@ class PepParams:
         if pa.P0 * d_min_sq > _max_p0_d2():
             raise ValueError(f"total power {p_db} dB is beyond the analysis: P0 d_min^2 / sin^2(theta) "
                              "overflows at the smallest quadrature node")
-        return cls(pa.P0, pa.A, alpha_sd, alpha, d_min_sq, M)
+        return cls(pa.P0, pa.A, alpha_sd, alpha, d_min_sq)
 
 
 @dataclass

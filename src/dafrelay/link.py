@@ -1,5 +1,6 @@
 """Differential M-PSK modulation and the two-phase relay transmit chain."""
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,7 +10,6 @@ from .channel import _crandn
 __all__ = [
     "Constellation",
     "PowerAllocation",
-    "LinkObservation",
     "diff_encode",
     "psk_d_min_sq",
     "transmit",
@@ -17,6 +17,10 @@ __all__ = [
 
 
 def _check_order(M: int) -> None:
+    try:
+        M = operator.index(M)
+    except TypeError:
+        raise TypeError(f"M must be an integer power of 2 >= 2, got {M!r}") from None
     if M < 2 or M & (M - 1):
         raise ValueError(f"M must be a power of 2 >= 2, got {M}")
 
@@ -67,7 +71,6 @@ class Constellation:
 class PowerAllocation:
     """Source/relay powers (linear) and the relay amplification factor."""
 
-    P_total: float
     P0: float
     P1: float
     A: float
@@ -80,19 +83,11 @@ class PowerAllocation:
         except OverflowError as exc:
             raise ValueError(f"total power {p_db} dB overflows") from exc
         p0 = p1 = p / 2.0
-        return cls(p, p0, p1, float(np.sqrt(p1 / (p0 + 1.0))))
+        return cls(p0, p1, float(np.sqrt(p1 / (p0 + 1.0))))
 
     def __post_init__(self):
         if not (0 < self.P0 < np.inf and 0 < self.P1 < np.inf):
             raise ValueError(f"P0 and P1 must be positive and finite, got {self.P0} and {self.P1}")
-
-
-@dataclass
-class LinkObservation:
-    """Destination observations from the two phases."""
-
-    y_sd: np.ndarray
-    y_rd: np.ndarray
 
 
 def diff_encode(symbols, constellation: Constellation):
@@ -111,7 +106,7 @@ def diff_encode(symbols, constellation: Constellation):
     return constellation.symbols[acc]
 
 
-def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng, with_noise: bool = True) -> LinkObservation:
+def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng) -> tuple[np.ndarray, np.ndarray]:
     """Run the two-phase chain: source broadcast, then amplified relay forward.
 
     y_sd = sqrt(P0) h_sd s + w_sd
@@ -121,13 +116,10 @@ def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng, with_noise: bool = T
     noise w_sr passes through the relay gain and h_rd, so the
     equivalent-noise structure of the cascaded link emerges rather than being
     injected.  All noises are i.i.d. CN(0,1), drawn in the order w_sd, w_sr,
-    w_rd; arrays may be 1D or (realizations, length).
+    w_rd; arrays may be 1D or (realizations, length).  Returns (y_sd, y_rd).
     """
     s = np.asarray(s)
-    if with_noise:
-        y_sd, w_sr, y_rd = (_crandn(rng, s.shape) for _ in range(3))
-    else:
-        y_sd, w_sr, y_rd = (np.zeros(s.shape, dtype=complex) for _ in range(3))
+    y_sd, w_sr, y_rd = (_crandn(rng, s.shape) for _ in range(3))
     # (sqrt(P0) h_sd) s + w_sd and (A sqrt(P0) h) s + ((A h_rd) w_sr + w_rd), summed in place, w_sr as
     # scratch; each product keeps its operand order, as numpy's complex multiply is not bitwise commutative
     np.multiply(power.A * h_rd, w_sr, out=w_sr)
@@ -136,4 +128,4 @@ def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng, with_noise: bool = T
         np.multiply(gain, g, out=w_sr)
         w_sr *= s
         y += w_sr
-    return LinkObservation(y_sd, y_rd)
+    return y_sd, y_rd

@@ -98,8 +98,8 @@ def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Conste
 
     h_sd = gen_fading(spec_sd, L + 1, rng, n_frames)
     h, h_rd = gen_cascaded(spec_sr, spec_rd, config.cascaded_model, L + 1, rng, n_frames)
-    obs = transmit(s, h_sd, h, h_rd, pa, rng)
-    return data, obs.y_sd, obs.y_rd, h_rd
+    y_sd, y_rd = transmit(s, h_sd, h, h_rd, pa, rng)
+    return data, y_sd, y_rd, h_rd
 
 
 def _scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, pa: PowerAllocation, h_rd):

@@ -14,7 +14,6 @@ __all__ = [
     "weights_tvd",
     "weights_opt_genie",
     "diff_products",
-    "combine",
     "detect",
     "frame_bit_errors",
 ]
@@ -76,15 +75,6 @@ def weights_opt_genie(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_s
 def diff_products(y_sd, y_rd):
     """Differential products conj(y[k-1]) y[k] of both branches along the last axis."""
     return tuple(np.conj(y[..., :-1]) * y[..., 1:] for y in (np.asarray(y_sd), np.asarray(y_rd)))
-
-
-def combine(y_sd, y_rd, weights: CombinerWeights):
-    """Differential two-branch combiner over consecutive observations.
-
-    Inputs are observation sequences (last axis of length >= 2); the output has
-    one fewer entry: zeta[k] = b0 conj(y_sd[k-1]) y_sd[k] + b1 conj(y_rd[k-1]) y_rd[k].
-    """
-    return weights.apply(*diff_products(y_sd, y_rd))
 
 
 def detect(zeta, constellation: Constellation):

@@ -158,7 +158,7 @@ def test_acceptance_3_quadrature_oracle_equivalence():
         M = int(rng.choice([2, 4]))
         pa = PowerAllocation.equal_from_total_db(p_db)
         d2 = 4.0 if M == 2 else 2.0
-        params = PepParams(pa.P0, pa.A, alpha, alpha, d2, M)
+        params = PepParams(pa.P0, pa.A, alpha, alpha, d2)
 
         def integrand(eta):
             rho = pa.A**2 * pa.P0 * eta / (pa.A**2 * eta + 1.0)

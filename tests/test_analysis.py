@@ -19,7 +19,7 @@ from dafrelay.analysis import (
     ser_ber_from_pep,
 )
 from dafrelay.channel import SCENARIOS
-from dafrelay.link import PowerAllocation
+from dafrelay.link import Constellation, PowerAllocation
 from dafrelay.specials import bessel_j0
 
 ALPHA = {f: float(bessel_j0(2 * np.pi * f)) for f in (0.001, 0.01, 0.05)}
@@ -91,15 +91,15 @@ class TestSnrTerms:
 
     def test_quasi_static_gamma_grows_linearly(self):
         # at alpha = 1 the additive terms stop mattering and gamma ~ P0/4
-        lo = PepParams(1e4, 1.0, 1.0, 1.0, 4.0, 2)
-        hi = PepParams(1e6, 1.0, 1.0, 1.0, 4.0, 2)
+        lo = PepParams(1e4, 1.0, 1.0, 1.0, 4.0)
+        hi = PepParams(1e6, 1.0, 1.0, 1.0, 4.0)
         assert gamma_sd(hi) / gamma_sd(lo) == pytest.approx(100.0, rel=1e-4)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            PepParams(0.0, 1.0, 0.9, 0.9, 4.0, 2)
+            PepParams(0.0, 1.0, 0.9, 0.9, 4.0)
         with pytest.raises(ValueError):
-            PepParams(1.0, 1.0, 1.5, 0.9, 4.0, 2)
+            PepParams(1.0, 1.0, 1.5, 0.9, 4.0)
         with pytest.raises(ValueError):
             gamma_rd(0.9, 0.0)
 
@@ -115,7 +115,7 @@ class TestInnerIntegral:
             M = int(rng.choice([2, 4]))
             pa = PowerAllocation.equal_from_total_db(p_db)
             d2 = 4.0 if M == 2 else 2.0
-            params = PepParams(pa.P0, pa.A, alpha, alpha, d2, M)
+            params = PepParams(pa.P0, pa.A, alpha, alpha, d2)
             closed = float(i1_closed_form(theta, params))
             direct = i1_direct(theta, params)
             assert closed == pytest.approx(direct, rel=1e-8)
@@ -196,7 +196,7 @@ class TestPep:
 
 class TestErrorFloor:
     def test_quasi_static_floor_is_zero(self):
-        assert error_floor(PepParams(10.0, 1.0, 1.0, 1.0, 4.0, 2)) == 0.0
+        assert error_floor(PepParams(10.0, 1.0, 1.0, 1.0, 4.0)) == 0.0
 
     def test_floor_matches_high_power_pep(self):
         # PEP at 120 dB total power sits on the floor to 1e-3 relative
@@ -210,10 +210,10 @@ class TestErrorFloor:
     def test_equal_branch_is_limit_of_general_branch(self):
         # the removable singularity: approach alpha_sd == alpha from both sides
         alpha = 0.95
-        base = PepParams(1e12, 1.0, alpha, alpha, 4.0, 2)
+        base = PepParams(1e12, 1.0, alpha, alpha, 4.0)
         equal = error_floor(base)
         for eps in (1e-8, -1e-8):
-            nearby = PepParams(1e12, 1.0, alpha + eps, alpha, 4.0, 2)
+            nearby = PepParams(1e12, 1.0, alpha + eps, alpha, 4.0)
             assert error_floor(nearby) == pytest.approx(equal, rel=1e-6)
 
     def test_floor_ordering_across_scenarios(self):
@@ -242,8 +242,14 @@ class TestSerBerMapping:
 
     def test_invalid_m(self):
         for M in (1, 3, 6):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="M must be a power of 2 >= 2"):
                 ser_ber_from_pep(0.01, M)
+        # a float order is named, by every entry point that takes M
+        for call in (lambda M: ser_ber_from_pep(0.01, M), lambda M: pep_point(0.99, 0.98, 10.0, M),
+                     Constellation.of):
+            with pytest.raises(TypeError, match="M must be an integer power of 2 >= 2, got 4.0"):
+                call(4.0)
+        assert ser_ber_from_pep(0.01, np.int64(4)) == ser_ber_from_pep(0.01, 4)
 
 
 class TestPepPoint:

@@ -1,0 +1,49 @@
+"""tools/bench_pairs.py on stub checkouts whose benchmark prints a fixed result line."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = {"work_per_s": {"value": 2.0, "unit": "1/s"}}
+GOOD = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": METRICS})
+
+
+def stub_checkout(root: Path, last_line: str) -> Path:
+    """A checkout whose perfbench/run.py exits 0 after printing an info line and `last_line`."""
+    (root / "perfbench").mkdir(parents=True)
+    info = "info " + json.dumps({"environment": {"host": "stub"}})
+    (root / "perfbench" / "run.py").write_text(f"print({info!r})\nprint({last_line!r})\n")
+    bench = {"run_seconds": 1, "end_to_end": [{"name": "work_per_s", "unit": "1/s", "better": "higher"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(bench))
+    return root
+
+
+def test_run_once_reads_a_result_line(tmp_path):
+    assert bench_pairs.run_once(stub_checkout(tmp_path, GOOD), "w", 1) == ({"work_per_s": 2.0}, {"host": "stub"})
+
+
+def test_run_once_fails_a_malformed_result_line(tmp_path):
+    for i, line in enumerate(("done", '{"correct": tr', "[1, 2]")):
+        checkout = stub_checkout(tmp_path / str(i), line)
+        assert bench_pairs.run_once(checkout, "w", 1) == (None, "malformed result line")
+
+
+def test_malformed_side_keeps_the_pairs_run(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", GOOD)
+    change = stub_checkout(tmp_path / "change", "Traceback: not a result")
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workloads", "w", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["environment"] == {"host": "stub"}
+    assert [(f["seed"], f["side"], f["reason"]) for f in report["failures"]] == [
+        (1000, "change", "malformed result line"),
+        (1001, "change", "malformed result line"),
+    ]
+    assert report["workloads"]["w"]["work_per_s"]["pairs"] == 0
+    assert "parent work_per_s=2" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from dafrelay.montecarlo import (
 )
 from dafrelay.link import Constellation, PowerAllocation
 from dafrelay.montecarlo import _chunk_rng, _generate_chunk, _scheme_weights
-from dafrelay.receiver import Scheme, combine, detect, diff_products, frame_bit_errors
+from dafrelay.receiver import Scheme, detect, diff_products, frame_bit_errors
 
 FAST = dict(
     min_bit_errors=50,
@@ -297,8 +297,8 @@ class TestDiversitySlope:
 @pytest.mark.parametrize("M", [2, 4, 8])
 @pytest.mark.parametrize("cascade", list(CascadedModelKind))
 def test_frame_errors_match_combine_detect(M, cascade):
-    # reference: combine -> detect -> Gray pattern -> popcount of the xor, per frame (row);
-    # M = 8 takes the general detect path, M = 2 and 4 the exact comparisons
+    # reference: the combiner written out -> detect -> Gray pattern -> popcount of the xor, per
+    # frame (row); M = 8 takes the general detect path, M = 2 and 4 the exact comparisons
     scn = SCENARIOS["III"]
     cfg = RunConfig(scn, M=M, frame_len=500, generator=FadingGenerator.AR1, cascaded_model=cascade)
     pa = PowerAllocation.equal_from_total_db(12.0)
@@ -311,7 +311,8 @@ def test_frame_errors_match_combine_detect(M, cascade):
         d_sd, d_rd = diff_products(y_sd, y_rd)
         for scheme in Scheme:
             w = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd)
-            ref = popcount[data ^ const.gray_of_index[detect(combine(y_sd, y_rd, w), const)]].sum(axis=1)
+            zeta = w.b0 * (np.conj(y_sd[:, :-1]) * y_sd[:, 1:]) + w.b1 * (np.conj(y_rd[:, :-1]) * y_rd[:, 1:])
+            ref = popcount[data ^ const.gray_of_index[detect(zeta, const)]].sum(axis=1)
             errors = frame_bit_errors(w.apply(d_sd, d_rd), data, const)
             assert errors.shape == (16,)
             assert np.array_equal(errors, ref)

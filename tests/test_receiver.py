@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ZeroRng
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
 from dafrelay.receiver import (
-    combine,
     detect,
+    diff_products,
     frame_bit_errors,
     weights_cdd,
     weights_opt_genie,
@@ -111,7 +112,7 @@ class TestCombineDetect:
         y_sd = np.array([1.0 + 0j, 2.0j, -1.0])
         y_rd = np.array([0.5, -0.5j, 1.0 + 1.0j])
         w = weights_cdd(1.0)
-        zeta = combine(y_sd, y_rd, w)
+        zeta = w.apply(*diff_products(y_sd, y_rd))
         expected = 0.5 * np.conj(y_sd[:-1]) * y_sd[1:] + 0.25 * np.conj(y_rd[:-1]) * y_rd[1:]
         assert np.allclose(zeta, expected, atol=0)
         assert zeta.shape == (2,)
@@ -135,36 +136,34 @@ class TestCombineDetect:
         # static unit channels, no noise: any scheme recovers the data exactly
         c = Constellation.of(4)
         pa = PowerAllocation.equal_from_total_db(10.0)
-        rng = np.random.default_rng(5)
-        data = rng.integers(0, 4, 500)
+        data = np.random.default_rng(5).integers(0, 4, 500)
         s = diff_encode(data, c)
         ones = np.ones(s.shape, dtype=complex)
-        obs = transmit(s, ones, ones, ones, pa, rng, with_noise=False)
+        d_sd, d_rd = diff_products(*transmit(s, ones, ones, ones, pa, ZeroRng()))
         for w in (
             weights_cdd(pa.A),
             weights_tvd(1.0, 1.0, pa.P0, pa.A),
             weights_opt_genie(1.0, 1.0, pa.P0, pa.A, ones[:-1]),
         ):
-            detected = detect(combine(obs.y_sd, obs.y_rd, w), c)
+            detected = detect(w.apply(d_sd, d_rd), c)
             assert np.array_equal(detected, data)
 
     def test_single_branch_suffices_noiselessly(self):
         # kill the relayed branch: direct differential detection still works
         c = Constellation.of(2)
         pa = PowerAllocation.equal_from_total_db(0.0)
-        rng = np.random.default_rng(6)
-        data = rng.integers(0, 2, 200)
+        data = np.random.default_rng(6).integers(0, 2, 200)
         s = diff_encode(data, c)
         ones = np.ones(s.shape, dtype=complex)
         zeros = np.zeros(s.shape, dtype=complex)
-        obs = transmit(s, ones, zeros, zeros, pa, rng, with_noise=False)
-        detected = detect(combine(obs.y_sd, obs.y_rd, weights_cdd(pa.A)), c)
+        d_sd, d_rd = diff_products(*transmit(s, ones, zeros, zeros, pa, ZeroRng()))
+        detected = detect(weights_cdd(pa.A).apply(d_sd, d_rd), c)
         assert np.array_equal(detected, data)
 
     def test_batched_combine_detect(self):
         c = Constellation.of(2)
         y = np.ones((4, 6), dtype=complex)
-        zeta = combine(y, y, weights_cdd(1.0))
+        zeta = weights_cdd(1.0).apply(*diff_products(y, y))
         assert zeta.shape == (4, 5)
         assert detect(zeta, c).shape == (4, 5)
 

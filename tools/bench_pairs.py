@@ -16,8 +16,8 @@ seeds are `seed_base + i`.  Each checkout's `perfbench/run.py` runs for its own
 The output JSON holds the environment block of the first run, the seeds and for
 every workload and metric: the values of each side, their median and quartiles,
 the median ratio change/parent, and `change_wins`, the number of pairs in which the
-change is strictly better.  A run that fails, prints no result line or reports
-`correct: false` is listed under `failures`, and its pair is left out of the
+change is strictly better.  A run that fails, prints no result line, prints a last line
+that is not a JSON object or reports `correct: false` is listed under `failures`, and its pair is left out of the
 statistics of both sides, so every summary is taken over the same seeds.
 """
 
@@ -39,7 +39,12 @@ def run_once(checkout: Path, workload: str, seed: int):
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        return None, "malformed result line"
     if not result.get("correct"):
         return None, f"correct=false, {result.get('failed')} of {result.get('attempted')} failed"
     info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), {})
