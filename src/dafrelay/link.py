@@ -119,13 +119,21 @@ def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng) -> tuple[np.ndarray,
     w_rd; arrays may be 1D or (realizations, length).  Returns (y_sd, y_rd).
     """
     s = np.asarray(s)
-    y_sd, w_sr, y_rd = (_crandn(rng, s.shape) for _ in range(3))
-    # (sqrt(P0) h_sd) s + w_sd and (A sqrt(P0) h) s + ((A h_rd) w_sr + w_rd), summed in place, w_sr as
-    # scratch; each product keeps its operand order, as numpy's complex multiply is not bitwise commutative
-    np.multiply(power.A * h_rd, w_sr, out=w_sr)
-    y_rd += w_sr
-    for y, gain, g in ((y_sd, np.sqrt(power.P0), h_sd), (y_rd, power.A * np.sqrt(power.P0), h)):
-        np.multiply(gain, g, out=w_sr)
-        w_sr *= s
-        y += w_sr
+    # w_sd + (sqrt(P0) h_sd) s, then (w_rd + (A h_rd) w_sr) + (A sqrt(P0) h) s, each branch summed in place
+    # right after its draws, through one scratch buffer, and w_sr freed before w_rd is drawn, so that at most
+    # three arrays of s's size are made here at once; each product keeps its operand order, as numpy's
+    # complex multiply is not bitwise commutative
+    y_sd = _crandn(rng, s.shape)
+    scratch = np.multiply(np.sqrt(power.P0), h_sd, out=np.empty_like(y_sd))
+    scratch *= s
+    y_sd += scratch
+    w_sr = _crandn(rng, s.shape)
+    np.multiply(power.A, h_rd, out=scratch)
+    scratch *= w_sr
+    del w_sr
+    y_rd = _crandn(rng, s.shape)
+    y_rd += scratch
+    np.multiply(power.A * np.sqrt(power.P0), h, out=scratch)
+    scratch *= s
+    y_rd += scratch
     return y_sd, y_rd

@@ -6,18 +6,21 @@ only, so CDD/TVD/genie comparisons are paired and their orderings are not
 clouded by independent sampling noise.
 
 Each chunk of frames has its own stream, keyed by (seed, power, M, chunk index),
-so a point's chunks run in rounds of W, one per usable CPU (`taskset` limits W).
-Their counts are added in chunk order, the stopping rule is checked before each
-chunk is added, and the chunks of a round computed past the stop are discarded:
-results do not depend on W, and a point that stops on its error count wastes at
-most W - 1 chunks.  The numpy draws, `lfilter`, the ufuncs and BLAS release the
-GIL, so threads give a real speed-up.  The thread pool is made per call, since
-threads do not survive a `fork`; it starts no thread for a one-chunk point.
+so the chunks of a whole sweep, across all its points, share one schedule: the
+(point, chunk) pairs run in point-major order, in rounds of W, one per usable
+CPU (`taskset` limits W), and a round skips the chunks of points that have
+stopped.  Each point adds its counts in chunk order, checks the stopping rule
+before each add and discards the chunks computed past its stop: results do not
+depend on W, and a point that stops on its error count wastes at most W - 1
+chunks.  The numpy draws, `lfilter`, the ufuncs and BLAS release the GIL, so
+threads give a real speed-up.  The thread pool is made once per sweep, since
+threads do not survive a `fork`; it starts no thread for a one-chunk sweep.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .receiver import Scheme
 
 __all__ = ["RunConfig", "BerEstimate", "run_point_schemes", "run_sweep", "diversity_slope"]
 
-# chunks computed at once by run_point_schemes: the CPUs this process may run on
+# chunks computed at once by run_sweep: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -92,9 +95,9 @@ def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Conste
     """
     spec_sd, spec_sr, spec_rd = specs
     L = config.frame_len
-    data = rng.integers(0, const.M, (n_frames, L))
-    tx_idx = const.index_of_gray[data]  # Gray bit patterns -> symbol indices
-    s = diff_encode(tx_idx, const)
+    # the sent Gray patterns, kept in the smallest integer type that holds them
+    data = rng.integers(0, const.M, (n_frames, L)).astype(np.min_scalar_type(const.M - 1))
+    s = diff_encode(const.index_of_gray[data], const)  # Gray bit patterns -> symbol indices
 
     h_sd = gen_fading(spec_sd, L + 1, rng, n_frames)
     h, h_rd = gen_cascaded(spec_sr, spec_rd, config.cascaded_model, L + 1, rng, n_frames)
@@ -111,83 +114,112 @@ def _scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, pa: PowerAllo
     return receiver.weights_opt_genie(alpha_sd, alpha, pa.P0, pa.A, h_rd[:, :-1])
 
 
+class _Point:
+    """One power point: its chunks' bit errors, and their counts added in chunk order."""
+
+    def __init__(self, config: RunConfig, p_db: float, schemes: list):
+        self.config, self.p_db, self.schemes = config, p_db, schemes
+        self.pa = PowerAllocation.equal_from_total_db(p_db)
+        self.const = Constellation.of(config.M)
+        scn = config.scenario
+        self.specs = tuple(FadingSpec(f, generator=config.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+        self.alphas = scn.autocorrs()
+        self.errors = dict.fromkeys(schemes, 0)
+        self.frames = 0
+
+    def chunk_frames(self, i):
+        max_frames = self.config.max_symbols // self.config.frame_len
+        return min(self.config.frames_per_chunk, max_frames - i * self.config.frames_per_chunk)
+
+    def chunk_errors(self, i):
+        """Bit errors of each scheme on chunk i of the point, from its own stream."""
+        rng = _chunk_rng(self.config, self.p_db, i)
+        data, y_sd, y_rd, h_rd = _generate_chunk(self.config, self.specs, self.pa, self.const, rng,
+                                                 self.chunk_frames(i))
+        d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
+        del y_sd, y_rd
+        alpha_sd, alpha = self.alphas
+        counts = []
+        for scheme in self.schemes:
+            zeta = _scheme_weights(scheme, alpha_sd, alpha, self.pa, h_rd).apply(d_sd, d_rd)
+            counts.append(int(receiver.frame_bit_errors(zeta, data, self.const).sum()))
+        return counts
+
+    def stopped(self):
+        return min(self.errors.values()) >= self.config.min_bit_errors
+
+    def add(self, i, counts):
+        """Add chunk i's counts unless the point has stopped: a chunk computed past the stop is discarded."""
+        if self.stopped():
+            return
+        for scheme, c in zip(self.schemes, counts):
+            self.errors[scheme] += c
+        self.frames += self.chunk_frames(i)
+
+    def estimates(self) -> dict:
+        bits = self.frames * self.config.frame_len * self.const.bits_per_symbol
+        out = {}
+        for scheme in self.schemes:
+            errors = self.errors[scheme]
+            ber = errors / bits
+            ci = 1.96 * np.sqrt(ber * (1.0 - ber) / bits)
+            out[scheme] = BerEstimate(self.p_db, scheme, errors, bits, ber, float(ci),
+                                      truncated=errors < self.config.min_bit_errors)
+        return out
+
+
+def _run_points(config: RunConfig, p_dbs, schemes) -> list[dict]:
+    """{scheme: BerEstimate} of each power point, its chunks scheduled over the whole sweep.
+
+    The (point, chunk) pairs run in point-major order, in rounds of W = _WORKERS: this thread
+    computes the first chunk of a round and W - 1 helper threads the rest.  A round skips the
+    chunks of points that have already stopped.
+    """
+    schemes = list(schemes)
+    points = [_Point(config, p_db, schemes) for p_db in p_dbs]
+    n_chunks = -(-(config.max_symbols // config.frame_len) // config.frames_per_chunk)
+
+    def pending():
+        for point in points:
+            for i in range(n_chunks):
+                if point.stopped():
+                    break
+                yield point, i
+
+    pairs = pending()
+    workers = min(_WORKERS, len(points) * n_chunks)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        while round_ := list(islice(pairs, workers)):
+            (first, i), rest = round_[0], round_[1:]
+            futures = [pool.submit(point.chunk_errors, j) for point, j in rest]
+            counts = [first.chunk_errors(i)] + [f.result() for f in futures]
+            for (point, j), chunk in zip(round_, counts):
+                point.add(j, chunk)
+    return [point.estimates() for point in points]
+
+
 def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
     """Simulate one power level for several schemes over shared channel draws.
 
     Runs until every scheme has min_bit_errors or the symbol budget of
     max_symbols // frame_len whole frames is spent.  Returns {scheme: BerEstimate}.
-
-    Chunks run in rounds of W = _WORKERS: this thread computes the first chunk
-    of a round and W - 1 helper threads the rest.  Their counts are added in
-    chunk order with the stopping rule checked before each chunk, and chunks
-    computed past the stop are discarded, so every result equals a serial
-    run's; a point that stops on its error count wastes at most W - 1 chunks.
+    This is the one-point case of run_sweep's chunk schedule.
     """
-    schemes = list(schemes)
-    pa = PowerAllocation.equal_from_total_db(p_db)
-    const = Constellation.of(config.M)
-    scn = config.scenario
-    specs = tuple(FadingSpec(f, generator=config.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
-    alpha_sd, alpha = scn.autocorrs()
-    max_frames = config.max_symbols // config.frame_len
-    per_chunk = config.frames_per_chunk
-    n_chunks = -(-max_frames // per_chunk)
-    workers = min(_WORKERS, n_chunks)
-
-    def chunk_frames(i):
-        return min(per_chunk, max_frames - i * per_chunk)
-
-    def chunk_errors(i):
-        """Bit errors of each scheme on chunk i of the point, from its own stream."""
-        rng = _chunk_rng(config, p_db, i)
-        data, y_sd, y_rd, h_rd = _generate_chunk(config, specs, pa, const, rng, chunk_frames(i))
-        d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
-        counts = []
-        for scheme in schemes:
-            zeta = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd).apply(d_sd, d_rd)
-            counts.append(int(receiver.frame_bit_errors(zeta, data, const).sum()))
-        return counts
-
-    errors = dict.fromkeys(schemes, 0)
-    frames = 0
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        for first in range(0, n_chunks, workers):
-            if min(errors.values()) >= config.min_bit_errors:
-                break
-            rest = range(first + 1, min(first + workers, n_chunks))
-            futures = [pool.submit(chunk_errors, i) for i in rest]
-            counts = [chunk_errors(first)] + [f.result() for f in futures]
-            for i, chunk in enumerate(counts, first):
-                if min(errors.values()) >= config.min_bit_errors:
-                    break
-                for scheme, c in zip(schemes, chunk):
-                    errors[scheme] += c
-                frames += chunk_frames(i)
-    bits = frames * config.frame_len * const.bits_per_symbol
-    out = {}
-    for scheme in schemes:
-        ber = errors[scheme] / bits
-        ci = 1.96 * np.sqrt(ber * (1.0 - ber) / bits)
-        out[scheme] = BerEstimate(
-            p_db,
-            scheme,
-            errors[scheme],
-            bits,
-            ber,
-            float(ci),
-            truncated=errors[scheme] < config.min_bit_errors,
-        )
-    return out
+    return _run_points(config, [p_db], schemes)[0]
 
 
 def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
-    """run_point_schemes at every point of config.p_db_grid; deterministic given master_seed.
+    """Every point of config.p_db_grid, as run_point_schemes gives it; deterministic given master_seed.
 
-    Returns a flat list in scheme-major order: every point of the first
-    scheme, then every point of the next.
+    The chunks of all points share one schedule: they run in point-major order, in rounds of
+    W = _WORKERS, one per usable CPU.  Each point adds its counts in chunk order and checks the
+    stopping rule before each add, and chunks computed past its stop are discarded, so every
+    result equals a serial run's for any W; a point that stops on its error count wastes at most
+    W - 1 chunks.  Returns a flat list in scheme-major order: every point of the first scheme,
+    then every point of the next.
     """
     schemes = list(schemes)
-    points = [run_point_schemes(config, p_db, schemes) for p_db in config.p_db_grid]
+    points = _run_points(config, config.p_db_grid, schemes)
     return [point[scheme] for scheme in schemes for point in points]
 
 

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -13,12 +15,15 @@ METRICS = {"work_per_s": {"value": 2.0, "unit": "1/s"}}
 GOOD = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": METRICS})
 
 
-def stub_checkout(root: Path, last_line: str) -> Path:
-    """A checkout whose perfbench/run.py exits 0 after printing an info line and `last_line`."""
+def stub_checkout(root: Path, last_line: str, names=("work_per_s",)) -> Path:
+    """A checkout whose perfbench/run.py exits 0 after printing an info line and `last_line`.
+
+    Its BENCHMARK.json lists the end-to-end metrics `names`.
+    """
     (root / "perfbench").mkdir(parents=True)
     info = "info " + json.dumps({"environment": {"host": "stub"}})
     (root / "perfbench" / "run.py").write_text(f"print({info!r})\nprint({last_line!r})\n")
-    bench = {"run_seconds": 1, "end_to_end": [{"name": "work_per_s", "unit": "1/s", "better": "higher"}]}
+    bench = {"run_seconds": 1, "end_to_end": [{"name": n, "unit": "1", "better": "higher"} for n in names]}
     (root / "BENCHMARK.json").write_text(json.dumps(bench))
     return root
 
@@ -47,3 +52,54 @@ def test_malformed_side_keeps_the_pairs_run(tmp_path, capsys):
     ]
     assert report["workloads"]["w"]["work_per_s"]["pairs"] == 0
     assert "parent work_per_s=2" in capsys.readouterr().err
+
+
+def test_run_once_fails_a_result_of_the_wrong_shape(tmp_path):
+    results = (
+        {"correct": True, "attempted": 1, "failed": 0},
+        {"correct": True, "metrics": [2.0]},
+        {"correct": True, "metrics": {"work_per_s": 2.0}},
+        {"correct": True, "metrics": {"work_per_s": {"unit": "1/s"}}},
+        {"correct": True, "metrics": {"work_per_s": {"value": "fast"}}},
+        {"correct": True, "metrics": {"work_per_s": {"value": None}}},
+    )
+    for i, result in enumerate(results):
+        checkout = stub_checkout(tmp_path / str(i), json.dumps(result))
+        assert bench_pairs.run_once(checkout, "w", 1) == (None, "malformed result line")
+
+
+def test_result_without_a_benchmark_metric_is_a_failure(tmp_path, capsys):
+    names = ("work_per_s", "peak_rss_mb")
+    full = json.dumps({"correct": True, "metrics": {**METRICS, "peak_rss_mb": {"value": 100.0, "unit": "MB"}}})
+    parent = stub_checkout(tmp_path / "parent", full, names)
+    change = stub_checkout(tmp_path / "change", GOOD, names)
+    assert bench_pairs.run_once(change, "w", 1) == ({"work_per_s": 2.0}, {"host": "stub"})
+    assert bench_pairs.run_once(change, "w", 1, names) == (None, "malformed result line")
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workloads", "w", "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    report = json.loads(out.read_text())
+    assert [(f["side"], f["reason"]) for f in report["failures"]] == [("change", "malformed result line")]
+    assert report["workloads"]["w"]["peak_rss_mb"]["pairs"] == 0
+    assert "parent work_per_s=2" in capsys.readouterr().err
+
+
+def test_output_keeps_the_pairs_finished_before_a_crash(tmp_path, monkeypatch):
+    parent = stub_checkout(tmp_path / "parent", GOOD)
+    change = stub_checkout(tmp_path / "change", GOOD)
+    out = tmp_path / "bench.json"
+    run_once, calls = bench_pairs.run_once, []
+
+    def crashing(*args):
+        calls.append(args)
+        if len(calls) > 2:
+            raise KeyboardInterrupt
+        return run_once(*args)
+
+    monkeypatch.setattr(bench_pairs, "run_once", crashing)
+    argv = [str(parent), str(change), "--workloads", "w", "--pairs", "3", "--out", str(out)]
+    with pytest.raises(KeyboardInterrupt):
+        bench_pairs.main(argv)
+    entry = json.loads(out.read_text())["workloads"]["w"]["work_per_s"]
+    assert entry["pairs"] == 1
+    assert entry["parent"]["values"] == entry["change"]["values"] == [2.0]

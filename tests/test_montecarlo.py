@@ -1,6 +1,7 @@
 """Monte Carlo BER machinery: stopping rules, determinism, paired-scheme runs."""
 
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -218,6 +219,72 @@ class TestWorkerCount:
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
             with pytest.raises(ChunkFailed):
                 run_point_schemes(cfg, 10.0, [Scheme.TVD])
+
+    def test_sweep_schedule_matches_each_point_for_every_worker_count(self, monkeypatch):
+        # 13 frames in 7 chunks of 2, 2, 2, 2, 2, 2, 1: the 40 dB point is bound by the budget, the 10 dB
+        # point stops on its error count after 5 chunks and the 5 dB point after 1, inside a round for
+        # W = 2 and 3; the rounds of every W > 1 mix the chunks of two points
+        cfg = RunConfig(SCENARIOS["I"], p_db_grid=(40.0, 10.0, 5.0), min_bit_errors=50, max_symbols=13 * 100,
+                        frame_len=100, frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=8)
+        schemes = [Scheme.CDD, Scheme.TVD]
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        points = [run_point_schemes(cfg, p_db, schemes) for p_db in cfg.p_db_grid]
+        assert [(e.bits, e.truncated) for e in (point[Scheme.TVD] for point in points)] == [
+            (1300, True), (1000, False), (200, False)
+        ]
+        calls = []  # the worker count of every chunk computed
+        generate = montecarlo._generate_chunk
+
+        def counting(*args):
+            calls.append(montecarlo._WORKERS)
+            return generate(*args)
+
+        monkeypatch.setattr(montecarlo, "_generate_chunk", counting)
+        sweeps = []
+        for workers in self.WORKERS:
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            sweeps.append(run_sweep(cfg, schemes))
+        assert all(sweep == [point[s] for s in schemes for point in points] for sweep in sweeps)
+        # 7 + 5 + 1 chunks, and W - 1 more computed past the stop of the 5 dB point; none of a stopped point
+        # is scheduled in a later round
+        assert [calls.count(w) for w in self.WORKERS] == [13, 14, 15]
+
+    def test_points_of_a_sweep_run_at_once(self, monkeypatch):
+        # two one-chunk points and W = 2: their chunks pass the barrier only if they are computed together
+        cfg = RunConfig(SCENARIOS["II"], M=4, p_db_grid=(10.0, 20.0), min_bit_errors=10**9, max_symbols=2 * 300,
+                        frame_len=300, frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=11)
+        barrier = threading.Barrier(2, timeout=10)
+        generate = montecarlo._generate_chunk
+
+        def waiting(*args):
+            barrier.wait()
+            return generate(*args)
+
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(montecarlo, "_generate_chunk", waiting)
+        sweep = run_sweep(cfg, [Scheme.TVD])
+        monkeypatch.setattr(montecarlo, "_generate_chunk", generate)
+        assert sweep == [run_one(cfg, p_db) for p_db in cfg.p_db_grid]
+
+
+class TestChunkMemory:
+    def test_sos_exact_chunk_working_set(self):
+        # the CLI's default chunk shape: 8 frames of 10^4 symbols, SoS fading, exact cascade; a sweep has one
+        # chunk in flight per CPU, so its memory grows with the peak of one chunk
+        cfg = RunConfig(SCENARIOS["III"], frame_len=10**4, max_symbols=8 * 10**4)
+        scn = cfg.scenario
+        specs = tuple(FadingSpec(f, generator=cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+        pa, const = PowerAllocation.equal_from_total_db(10.0), Constellation.of(cfg.M)
+        _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 10.0, 0), 8)  # one-time allocations
+        tracemalloc.start()
+        try:
+            chunk = _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 10.0, 0), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array = np.empty((8, 10**4 + 1), dtype=complex).nbytes
+        assert chunk[1].shape == (8, 10**4 + 1)
+        assert peak <= 8.5 * array
 
 
 class TestPairedSchemes:

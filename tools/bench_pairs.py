@@ -17,8 +17,10 @@ The output JSON holds the environment block of the first run, the seeds and for
 every workload and metric: the values of each side, their median and quartiles,
 the median ratio change/parent, and `change_wins`, the number of pairs in which the
 change is strictly better.  A run that fails, prints no result line, prints a last line
-that is not a JSON object or reports `correct: false` is listed under `failures`, and its pair is left out of the
-statistics of both sides, so every summary is taken over the same seeds.
+that is not a JSON object, reports `correct: false` or lacks a numeric value of an `end_to_end`
+metric is listed under `failures`, and its pair is left out of the statistics of both sides, so
+every summary is taken over the same seeds.  The output is rewritten after every pair, so an
+interrupted run keeps the pairs it finished.
 """
 
 import argparse
@@ -31,8 +33,12 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int):
-    """One `perfbench/run.py` run: (metrics, environment), or (None, reason) on failure."""
+def run_once(checkout: Path, workload: str, seed: int, names=()):
+    """One `perfbench/run.py` run: (metrics, environment), or (None, reason) on failure.
+
+    A result line that is not a JSON object, or whose metrics are not a mapping of
+    {"value": number} objects that holds every one of `names`, is malformed.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -47,13 +53,36 @@ def run_once(checkout: Path, workload: str, seed: int):
         return None, "malformed result line"
     if not result.get("correct"):
         return None, f"correct=false, {result.get('failed')} of {result.get('attempted')} failed"
+    try:
+        values = {name: m["value"] for name, m in result["metrics"].items()}
+    except (AttributeError, KeyError, TypeError):
+        return None, "malformed result line"
+    if not all(type(values.get(name)) in (int, float) for name in (*names, *values)):
+        return None, "malformed result line"
     info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), {})
-    return {name: m["value"] for name, m in result["metrics"].items()}, info.get("environment")
+    return values, info.get("environment")
 
 
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def report(metrics: dict, paired: list) -> dict:
+    """Each metric's summary on both sides, median ratio and win count over the `paired` runs."""
+    entries = {}
+    for name, spec in metrics.items():
+        sign = 1 if spec["better"] == "higher" else -1
+        entry = {"unit": spec["unit"], "better": spec["better"]}
+        if paired:
+            for side, runs in zip(SIDES, zip(*paired)):
+                entry[side] = summary([run[name] for run in runs])
+            if entry["parent"]["median"]:
+                entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+        entry["change_wins"] = sum(sign * (c[name] - p[name]) > 0 for p, c in paired)
+        entry["pairs"] = len(paired)
+        entries[name] = entry
+    return entries
 
 
 def main(argv=None) -> int:
@@ -72,49 +101,37 @@ def main(argv=None) -> int:
     seeds = [args.seed_base + i for i in range(args.pairs)]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
 
-    environment, failures, workloads = None, [], {}
+    out = {
+        "environment": None,
+        "run_seconds": bench["run_seconds"],
+        "pairs": args.pairs,
+        "seeds": seeds,
+        "order": "parent first in even pairs (0, 2, ...), change first in odd pairs",
+        "workloads": {},
+        "failures": [],
+    }
+    first = next(iter(metrics))  # the metric the progress line shows
     for workload in args.workloads:
         paired = []  # (parent metrics, change metrics) of the pairs where both sides ran
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             got = {}
             for side in order:
-                result, detail = run_once(checkouts[side], workload, seed)
+                result, detail = run_once(checkouts[side], workload, seed, metrics)
                 if result is None:
-                    failures.append({"workload": workload, "seed": seed, "side": side, "reason": detail})
+                    out["failures"].append({"workload": workload, "seed": seed, "side": side, "reason": detail})
                     continue
-                environment = environment or detail
+                out["environment"] = out["environment"] or detail
                 got[side] = result
             if len(got) == 2:
                 paired.append((got["parent"], got["change"]))
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
-                  + ", ".join(f"{s} work_per_s={got[s]['work_per_s']:.4g}" for s in SIDES if s in got),
+                  + ", ".join(f"{s} {first}={got[s][first]:.4g}" for s in SIDES if s in got),
                   file=sys.stderr)
-        report = {}
-        for name, spec in metrics.items():
-            sign = 1 if spec["better"] == "higher" else -1
-            entry = {"unit": spec["unit"], "better": spec["better"]}
-            if paired:
-                for side, runs in zip(SIDES, zip(*paired)):
-                    entry[side] = summary([run[name] for run in runs])
-                if entry["parent"]["median"]:
-                    entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
-            entry["change_wins"] = sum(sign * (c[name] - p[name]) > 0 for p, c in paired)
-            entry["pairs"] = len(paired)
-            report[name] = entry
-        workloads[workload] = report
-
-    out = {
-        "environment": environment,
-        "run_seconds": bench["run_seconds"],
-        "pairs": args.pairs,
-        "seeds": seeds,
-        "order": "parent first in even pairs (0, 2, ...), change first in odd pairs",
-        "workloads": workloads,
-        "failures": failures,
-    }
-    args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 1 if failures else 0
+            # written after every pair, so that an interrupted run keeps the pairs it finished
+            out["workloads"][workload] = report(metrics, paired)
+            args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 1 if out["failures"] else 0
 
 
 if __name__ == "__main__":

@@ -73,10 +73,7 @@ def chunks():
             s = link.diff_encode(rng.integers(0, const.M, (n_frames, frame_len)), const)
             h_sd = channel.gen_fading(spec_sd, frame_len + 1, rng, n_frames)
             h, h_rd = channel.gen_cascaded(spec_sr, spec_rd, cascade, frame_len + 1, rng, n_frames)
-            obs = link.transmit(s, h_sd, h, h_rd, power, rng)
-            # a checkout from before `transmit` returned a tuple gives an object with two fields;
-            # the second form goes once no compared checkout predates the tuple
-            y_sd, y_rd = obs if isinstance(obs, tuple) else (obs.y_sd, obs.y_rd)
+            y_sd, y_rd = link.transmit(s, h_sd, h, h_rd, power, rng)
             arrays = (s, h_sd, h, h_rd, y_sd, y_rd)
             yield f"chunk_{gen.value}_{cascade.value}.bin", b"".join(a.tobytes() for a in arrays)
 
