@@ -121,10 +121,12 @@ def _crandn(rng, shape):
 # rows at least this long filter faster as two real recursions than as one complex one (17.5 -> 13.5 ns per
 # sample at 10^3); lfilter's cost per row makes twice the rows slower when they are short (43 -> 56 at 10)
 _AR1_REAL_MIN_LEN = 64
+# samples per lfilter call: lfilter returns a new array, so filtering in row blocks keeps that temporary small
+_AR1_BLOCK = 1 << 16
 
 
 def _ar1(a, h0, x):
-    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], by one lfilter call.
+    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], by lfilter over blocks of rows.
 
     The bits are those of the plain loop, also for a = 1 with zero input and for x without columns.
     """
@@ -138,7 +140,10 @@ def _ar1(a, h0, x):
         # a is real, so the real and imaginary parts filter apart, on the (n, L, 2) float view
         out = h.view(float).reshape(n, length, 2)
         x = np.ascontiguousarray(x, dtype=complex).view(float).reshape(n, length - 1, 2)
-    out[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * out[:, :1])
+    rows = max(1, _AR1_BLOCK // length)
+    for i in range(0, n, rows):
+        block = out[i:i + rows]
+        block[:, 1:], _ = lfilter([1.0], [1.0, -a], x[i:i + rows], axis=1, zi=a * block[:, :1])
     return h
 
 

@@ -58,7 +58,7 @@ class Constellation:
         elif M == 2:
             symbols[1] = -1.0
         gray = m ^ (m >> 1)
-        inv = np.empty(M, dtype=int)
+        inv = np.empty(M, dtype=np.min_scalar_type(M - 1))
         inv[gray] = m
         return cls(M, symbols, gray, inv)
 
@@ -95,14 +95,16 @@ def diff_encode(symbols, constellation: Constellation):
 
     `symbols` holds constellation indices along the last axis; the output has
     one extra entry (the reference).  Encoding accumulates indices modulo M so
-    every s[k] is exactly a constellation point (|s[k]| = 1 exactly).
+    every s[k] is exactly a constellation point (|s[k]| = 1 exactly): the sum is
+    taken in the indices' own integer type, whose wrap-around is a multiple of
+    M, and masked with M - 1.
     """
     idx = np.asarray(symbols)
     if np.any(idx < 0) or np.any(idx >= constellation.M):
         raise ValueError("symbol index out of range")
-    acc = np.cumsum(idx, axis=-1) % constellation.M
-    pad = [(0, 0)] * (idx.ndim - 1) + [(1, 0)]
-    acc = np.pad(acc, pad)
+    acc = np.zeros(idx.shape[:-1] + (idx.shape[-1] + 1,), dtype=idx.dtype)
+    np.cumsum(idx, axis=-1, dtype=idx.dtype, out=acc[..., 1:])
+    acc &= constellation.M - 1
     return constellation.symbols[acc]
 
 

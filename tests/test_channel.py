@@ -18,7 +18,7 @@ from dafrelay.channel import (
     rayleigh_pdf,
     validate_stats,
 )
-from dafrelay.channel import _HIST_EDGES, _HIST_MASSES, _N_SINUSOIDS, _crandn
+from dafrelay.channel import _AR1_BLOCK, _HIST_EDGES, _HIST_MASSES, _N_SINUSOIDS, _ar1, _crandn
 from dafrelay.specials import bessel_j0
 
 
@@ -115,6 +115,20 @@ class TestSingleLinkGenerators:
             ref[:, k] = a * ref[:, k - 1] + np.sqrt(1.0 - a * a) * e[:, k - 1]
         assert np.array_equal(h, ref[0] if realizations is None else ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("length", [10, 1001])  # a complex filter and one on the float view
+    def test_ar1_blocks_match_one_lfilter(self, length):
+        # oracle: one complex lfilter over every row at once; the row count is not a multiple of the block
+        from scipy.signal import lfilter
+
+        rows = 3 * (_AR1_BLOCK // length) + 7
+        rng = rng_for(25)
+        h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
+        a = 0.97
+        ref = np.empty((rows, length), dtype=complex)
+        ref[:, 0] = h0
+        ref[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * ref[:, :1])
+        assert np.array_equal(_ar1(a, h0, x).view(np.uint64), ref.view(np.uint64))
 
     def test_ar1_moments_and_lag1(self):
         # f = 0.01, 10^6 samples: variance 1 +/- 0.01, lag-1 within 0.01 of J0

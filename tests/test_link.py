@@ -97,6 +97,14 @@ class TestDiffEncode:
         # accumulation is in the index domain, so there is no phase drift at all
         assert np.all(np.abs(s) == 1.0)
 
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_small_index_type_wraps_to_the_same_symbols(self, M):
+        # 5000 indices overflow a uint8 running sum many times; 256 is a multiple of M
+        c = Constellation.of(M)
+        idx = np.random.default_rng(1).integers(0, M, (3, 5000))
+        assert np.array_equal(diff_encode(idx.astype(np.uint8), c), diff_encode(idx, c))
+        assert np.array_equal(diff_encode(idx, c)[..., 1:], c.symbols[np.cumsum(idx, axis=-1) % M])
+
     def test_batched(self):
         c = Constellation.of(2)
         s = diff_encode(np.array([[0, 1], [1, 1]]), c)
