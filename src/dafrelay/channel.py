@@ -29,6 +29,7 @@ __all__ = [
     "SCENARIOS",
     "ChannelStats",
     "autocorr",
+    "seeded_rng",
     "gen_fading",
     "gen_cascaded",
     "envelope_pdf_theoretical",
@@ -105,17 +106,21 @@ def autocorr(spec: FadingSpec) -> float:
     return float(bessel_j0(2.0 * np.pi * spec.f))
 
 
-def _crandn(rng, shape):
-    """i.i.d. CN(0,1) samples: the stream and the bits of (re + 1j*im) / sqrt(2), from one float buffer.
+def seeded_rng(words):
+    """The generator of a stream keyed by a sequence of non-negative integer words: SFC64 on their SeedSequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
-    numpy divides a complex array by a real scalar as a multiply by its reciprocal, so each part
-    is multiplied by 1/sqrt(2); dividing the parts by sqrt(2) would change some last bits.
+
+def _crandn(rng, shape, scale=1.0):
+    """Independent CN(0, scale^2) samples: (re + 1j*im) * (scale / sqrt(2)) from one draw of (re, im) pairs.
+
+    `scale` is a number or an array of `shape`.  The pairs are scaled in place as floats, which gives the
+    bits of the complex product by the real factor.
     """
-    scale = 1.0 / np.sqrt(2.0)
-    part = rng.standard_normal(shape)
-    z = np.multiply(part, scale, dtype=complex)
-    np.multiply(rng.standard_normal(out=part), scale, out=z.imag)
-    return z
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    pairs = rng.standard_normal((*shape, 2))
+    pairs *= np.expand_dims(np.divide(scale, np.sqrt(2.0)), -1)
+    return pairs.view(complex).reshape(shape)
 
 
 # rows at least this long filter faster as two real recursions than as one complex one (17.5 -> 13.5 ns per
@@ -150,8 +155,7 @@ def _ar1(a, h0, x):
 def _gen_ar1(alpha, length, rng, n_real):
     """h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1] from CN(0,1) draws: h[0], then every e."""
     h0 = _crandn(rng, n_real)
-    x = np.sqrt(max(0.0, 1.0 - alpha * alpha)) * _crandn(rng, (n_real, length - 1))
-    return _ar1(alpha, h0, x)
+    return _ar1(alpha, h0, _crandn(rng, (n_real, length - 1), np.sqrt(max(0.0, 1.0 - alpha * alpha))))
 
 
 _N_SINUSOIDS = 16  # sinusoid pairs; keeps autocorr error below test tolerances
@@ -223,7 +227,7 @@ def gen_cascaded(
 
     Returns (h, h_rd).  EXACT_PRODUCT multiplies two independently generated
     links elementwise.  APPROXIMATE runs the one-term recursion
-    h[k] = a*h[k-1] + sqrt(1-a^2)*h_rd[k-1]*e_sr[k-1] with a = a_sr*a_rd from
+    h[k] = a*h[k-1] + (sqrt(1-a^2)*e_sr[k-1])*h_rd[k-1] with a = a_sr*a_rd from
     h[0] = e_0*h_rd[0], drawing h_rd, e_0, then e_sr.  h_rd is returned for the
     genie combiner.
     """
@@ -235,12 +239,9 @@ def gen_cascaded(
     h_rd_2d = np.atleast_2d(h_rd)
     a = autocorr(spec_sr) * autocorr(spec_rd)
     h0 = _crandn(rng, len(h_rd_2d)) * h_rd_2d[:, 0]
-    e_sr = _crandn(rng, (len(h_rd_2d), length - 1))
-    # filter input sqrt(1-a^2)*h_rd[k-1]*e_sr[k-1]; e_sr is freed before _ar1
-    # allocates its output, which keeps peak memory at the loop's level
-    x = np.sqrt(max(0.0, 1.0 - a * a)) * h_rd_2d[:, :-1]
-    x *= e_sr
-    del e_sr
+    # the filter input (sqrt(1-a^2)*e_sr[k-1])*h_rd[k-1], formed in the buffer of the draws
+    x = _crandn(rng, (len(h_rd_2d), length - 1), np.sqrt(max(0.0, 1.0 - a * a)))
+    x *= h_rd_2d[:, :-1]
     h = _ar1(a, h0, x)
     return (h[0] if realizations is None else h), h_rd
 
@@ -271,6 +272,7 @@ _HIST_EDGES = np.linspace(*_HIST_RANGE, _HIST_BINS + 1)
 _INNER_EDGES = _HIST_EDGES[1:-1]
 _HIST_MASSES = np.diff(np.concatenate(([0.0], 1.0 - 2.0 * _INNER_EDGES * special.k1(2.0 * _INNER_EDGES), [1.0])))
 _CHI_SQUARE_MIN_EXPECTED = 5.0  # bins expecting fewer samples are merged into their neighbours
+_STATS_BLOCK = 1 << 16  # samples per pass of validate_stats, which makes no temporary of the samples' size
 
 
 def validate_stats(samples) -> ChannelStats:
@@ -278,20 +280,31 @@ def validate_stats(samples) -> ChannelStats:
 
     `samples` is a 1D complex array, or a 2D array whose rows are independent
     realizations (lag-1 products never straddle row boundaries).  Requires at
-    least 10^4 samples in total.
+    least 10^4 samples in total.  The variance is E|h - mean|^2 (two passes) and
+    the lag-1 autocorrelation Re E[h[k] conj(h[k-1])] over it.
     """
     h = np.asarray(samples)
     if h.ndim == 1:
         h = h[None, :]
     if h.size < 10_000:
         raise ValueError("validate_stats needs at least 10^4 samples")
-    mean = complex(h.mean())
-    variance = float(np.mean(np.abs(h - mean) ** 2))
     if h.shape[1] < 2:
         raise ValueError("validate_stats needs at least 2 samples per realization")
-    lag1 = float(np.real(np.mean(h[:, 1:] * np.conj(h[:, :-1]))) / variance)
-    dens, edges = np.histogram(np.abs(h).ravel(), bins=_HIST_BINS, range=_HIST_RANGE, density=True)
-    return ChannelStats(mean, variance, lag1, edges, dens)
+    mean = complex(h.mean())
+    flat = h.ravel()
+    sq_dev = 0.0
+    counts = np.zeros(_HIST_BINS, dtype=np.intp)
+    for i in range(0, flat.size, _STATS_BLOCK):
+        block = flat[i:i + _STATS_BLOCK]
+        dev = block - mean
+        sq_dev += np.vdot(dev, dev).real
+        counts += np.histogram(np.abs(block), bins=_HIST_BINS, range=_HIST_RANGE)[0]
+    variance = sq_dev / flat.size
+    # the products of neighbours in the flat array, less those across the ends of rows
+    lag_sum = np.vdot(flat[:-1], flat[1:]) - np.vdot(h[:-1, -1], h[1:, 0])
+    lag1 = float(lag_sum.real / (h.shape[0] * (h.shape[1] - 1)) / variance)
+    edges = _HIST_EDGES.copy()
+    return ChannelStats(mean, float(variance), lag1, edges, counts / np.diff(edges) / counts.sum())
 
 
 def envelope_chi_square(samples):

@@ -5,8 +5,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import analysis
 from .channel import (
     SCENARIOS,
@@ -18,6 +16,7 @@ from .channel import (
     envelope_pdf_theoretical,
     gen_cascaded,
     rayleigh_pdf,
+    seeded_rng,
     validate_stats,
 )
 from .montecarlo import RunConfig, run_sweep
@@ -173,8 +172,8 @@ def cmd_validate_channel(args) -> int:
     )
     results = {}
     for stream, kind in enumerate(CascadedModelKind, 1):
-        rng = np.random.default_rng(np.random.SeedSequence([int(args.seed), stream]))
-        h = gen_cascaded(spec_sr, spec_rd, kind, frame_len, rng, realizations=n_frames)[0]
+        h = gen_cascaded(spec_sr, spec_rd, kind, frame_len, seeded_rng([int(args.seed), stream]),
+                         realizations=n_frames)[0]
         st = results[kind] = validate_stats(h)
         stat, p = envelope_chi_square(h[:, -1])
         del h  # only the statistics are kept; the next model is generated without this array alive

@@ -112,30 +112,30 @@ def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng) -> tuple[np.ndarray,
     """Run the two-phase chain: source broadcast, then amplified relay forward.
 
     y_sd = sqrt(P0) h_sd s + w_sd
-    y_rd = A h_rd (sqrt(P0) h_sr s + w_sr) + w_rd = A sqrt(P0) h s + A h_rd w_sr + w_rd
+    y_rd = A h_rd (sqrt(P0) h_sr s + w_sr) + w_rd = A sqrt(P0) h s + v_rd
 
-    `h` is the cascaded gain, h_sr*h_rd for the exact product model.  The relay
-    noise w_sr passes through the relay gain and h_rd, so the
-    equivalent-noise structure of the cascaded link emerges rather than being
-    injected.  All noises are i.i.d. CN(0,1), drawn in the order w_sd, w_sr,
-    w_rd; arrays may be 1D or (realizations, length).  Returns (y_sd, y_rd).
+    `h` is the cascaded gain, h_sr*h_rd for the exact product model.  Given h_rd,
+    the relayed noise v_rd = A h_rd w_sr + w_rd is CN(0, 1 + A^2 |h_rd|^2) for
+    either cascade model, so it is drawn as one term, sqrt(1 + A^2 |h_rd|^2) w,
+    rather than built from w_sr and w_rd.  w_sd and w are i.i.d. CN(0,1), drawn
+    in that order; arrays may be 1D or (realizations, length).  Returns (y_sd, y_rd).
     """
     s = np.asarray(s)
-    # w_sd + (sqrt(P0) h_sd) s, then (w_rd + (A h_rd) w_sr) + (A sqrt(P0) h) s, each branch summed in place
-    # right after its draws, through one scratch buffer, and w_sr freed before w_rd is drawn, so that at most
-    # three arrays of s's size are made here at once; each product keeps its operand order, as numpy's
-    # complex multiply is not bitwise commutative
+    # w_sd + (sqrt(P0) h_sd) s, then v_rd + (A sqrt(P0) h) s, each summed in place through a scratch buffer
+    # that is freed while v_rd is drawn, so that at most three arrays of s's size are made here at once;
+    # each product keeps its operand order, as numpy's complex multiply is not bitwise commutative
     y_sd = _crandn(rng, s.shape)
     scratch = np.multiply(np.sqrt(power.P0), h_sd, out=np.empty_like(y_sd))
     scratch *= s
     y_sd += scratch
-    w_sr = _crandn(rng, s.shape)
-    np.multiply(power.A, h_rd, out=scratch)
-    scratch *= w_sr
-    del w_sr
-    y_rd = _crandn(rng, s.shape)
-    y_rd += scratch
-    np.multiply(power.A * np.sqrt(power.P0), h, out=scratch)
+    del scratch
+    sd = np.square(h_rd.real)
+    sd += np.square(h_rd.imag)
+    sd *= power.A * power.A
+    sd += 1.0
+    y_rd = _crandn(rng, s.shape, np.sqrt(sd, out=sd))
+    del sd
+    scratch = np.multiply(power.A * np.sqrt(power.P0), h, out=np.empty_like(y_rd))
     scratch *= s
     y_rd += scratch
     return y_sd, y_rd

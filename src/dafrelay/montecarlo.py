@@ -32,6 +32,7 @@ from .channel import (
     Scenario,
     gen_cascaded,
     gen_fading,
+    seeded_rng,
 )
 from .link import Constellation, PowerAllocation, diff_encode, transmit
 from .receiver import Scheme
@@ -79,11 +80,13 @@ class BerEstimate:
 
 
 def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
-    point_key = (int(round(p_db * 1000)) & 0xFFFFFFFF) * 16 + config.M
-    ss = np.random.SeedSequence(
-        [config.master_seed & 0xFFFFFFFFFFFFFFFF, point_key, chunk_index]
-    )
-    return np.random.default_rng(ss)
+    """The stream of one chunk: the seed, the power in mdB, M and the chunk index, each its own word.
+
+    The seed and the mdB go in as two's-complement words of 64 and 32 bits; 2^31 mdB lies far
+    beyond the powers that PowerAllocation accepts (about -3240..3080 dB).
+    """
+    mdb = int(round(p_db * 1000))
+    return seeded_rng([config.master_seed & 0xFFFFFFFFFFFFFFFF, mdb & 0xFFFFFFFF, config.M, chunk_index])
 
 
 def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Constellation, rng, n_frames: int):
@@ -95,8 +98,8 @@ def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Conste
     """
     spec_sd, spec_sr, spec_rd = specs
     L = config.frame_len
-    # the sent Gray patterns, kept in the smallest integer type that holds them
-    data = rng.integers(0, const.M, (n_frames, L)).astype(np.min_scalar_type(const.M - 1))
+    # the sent Gray patterns, drawn in the smallest integer type that holds them
+    data = rng.integers(0, const.M, (n_frames, L), dtype=np.min_scalar_type(const.M - 1))
     s = diff_encode(const.index_of_gray[data], const)  # Gray bit patterns -> symbol indices
 
     h_sd = gen_fading(spec_sd, L + 1, rng, n_frames)

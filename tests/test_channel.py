@@ -65,14 +65,15 @@ class TestSpecsAndScenarios:
 class TestSingleLinkGenerators:
     @pytest.mark.parametrize("shape", [(32, 1001), (8, 10001), 7, (200_000, 9)])
     def test_crandn_matches_component_sum(self, shape):
-        # oracle: every real part, then every imaginary part, summed and divided by sqrt(2)
-        rng, ref_rng = rng_for(23), rng_for(23)
-        z = _crandn(rng, shape)
-        ref = (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
-        assert z.shape == ref.shape and z.dtype == ref.dtype
-        assert np.array_equal(z.view(float), ref.view(float))
-        assert np.array_equal(z.view(np.uint64), ref.view(np.uint64))  # signed zeros included
-        assert rng.standard_normal() == ref_rng.standard_normal()
+        # oracle: interleaved (re, im) pairs, summed as re + 1j*im and multiplied by scale/sqrt(2)
+        for scale in (1.0, 0.3, rng_for(22).uniform(1.0, 3.0, shape)):
+            rng, ref_rng = rng_for(23), rng_for(23)
+            z = _crandn(rng, shape, scale)
+            pairs = ref_rng.standard_normal((*np.atleast_1d(shape), 2))
+            ref = (pairs[..., 0] + 1j * pairs[..., 1]) * (scale / np.sqrt(2.0))
+            assert z.shape == ref.shape and z.dtype == ref.dtype
+            assert np.array_equal(z.view(np.uint64), ref.view(np.uint64))  # signed zeros included
+            assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_zero_doppler_is_constant(self):
         h = gen_fading(FadingSpec(0.0), 1000, rng_for(1))
@@ -98,21 +99,18 @@ class TestSingleLinkGenerators:
         [(0.05, 1001, 64), (0.05, 1, 3), (0.0, 50, 4), (0.01, 30, None)],
     )
     def test_ar1_matches_symbol_loop(self, f, length, realizations):
-        # oracle: h[k] = a*h[k-1] + sqrt(1-a^2)*e[k-1] as a plain loop over the same draws (h[0], then e)
+        # oracle: h[k] = a*h[k-1] + x[k-1] as a plain loop over the same draws: h[0], then the innovations
+        # x = sqrt(1-a^2)*e, drawn at that scale
         spec = FadingSpec(f, generator=FadingGenerator.AR1)
         rng, ref_rng = rng_for(24), rng_for(24)
         h = gen_fading(spec, length, rng, realizations)
-
-        def crandn(shape):
-            return (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
-
         n = 1 if realizations is None else realizations
         a = autocorr(spec)
         ref = np.empty((n, length), dtype=complex)
-        ref[:, 0] = crandn(n)
-        e = crandn((n, length - 1))
+        ref[:, 0] = _crandn(ref_rng, n)
+        x = _crandn(ref_rng, (n, length - 1), np.sqrt(1.0 - a * a))
         for k in range(1, length):
-            ref[:, k] = a * ref[:, k - 1] + np.sqrt(1.0 - a * a) * e[:, k - 1]
+            ref[:, k] = a * ref[:, k - 1] + x[:, k - 1]
         assert np.array_equal(h, ref[0] if realizations is None else ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
@@ -236,25 +234,21 @@ class TestCascadedChannel:
     @pytest.mark.parametrize("length, realizations", [(1001, 64), (10, 1000), (30, None)])
     def test_approximate_matches_symbol_loop(self, length, realizations):
         # oracle: the one-term recursion as a plain loop over the same draws
-        # (h_rd, then the initial CN(0,1) factor, then the innovations e_sr)
+        # (h_rd, then the initial CN(0,1) factor, then the innovations sqrt(1-a^2)*e_sr, drawn at that scale)
         spec_sr = FadingSpec(0.05)
         spec_rd = FadingSpec(0.01)
         h, h_rd = gen_cascaded(
             spec_sr, spec_rd, CascadedModelKind.APPROXIMATE, length, rng_for(16), realizations
         )
         rng = rng_for(16)
-
-        def crandn(shape):
-            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
         n = 1 if realizations is None else realizations
         ref_rd = gen_fading(spec_rd, length, rng, n)
         a = autocorr(spec_sr) * autocorr(spec_rd)
         ref = np.empty((n, length), dtype=complex)
-        ref[:, 0] = crandn(n) * ref_rd[:, 0]
-        e_sr = crandn((n, length - 1))
+        ref[:, 0] = _crandn(rng, n) * ref_rd[:, 0]
+        e_sr = _crandn(rng, (n, length - 1), np.sqrt(1.0 - a * a))
         for k in range(1, length):
-            ref[:, k] = a * ref[:, k - 1] + np.sqrt(1.0 - a * a) * ref_rd[:, k - 1] * e_sr[:, k - 1]
+            ref[:, k] = a * ref[:, k - 1] + e_sr[:, k - 1] * ref_rd[:, k - 1]
         if realizations is None:
             ref, ref_rd = ref[0], ref_rd[0]
         assert np.array_equal(h_rd, ref_rd)
@@ -342,6 +336,24 @@ class TestValidateStats:
         assert abs(st.mean) < 0.01
         assert st.variance == pytest.approx(1.0, abs=0.02)
         assert st.lag1_autocorr == pytest.approx(0.0, abs=0.01)
+
+    @pytest.mark.parametrize("shape, shift", [((200_000,), 0.0), ((20_000, 10), 10.0)])
+    def test_matches_two_pass_definitions(self, shape, shift):
+        # oracle: the mean, then E|h - mean|^2 and Re E[h[k] conj(h[k-1])] within rows over it, and the
+        # envelope density, from full-size arrays; the shifted input has a mean about 10 sd from zero
+        h = gen_fading(FadingSpec(0.02), shape[-1], rng_for(17), None if len(shape) == 1 else shape[0])
+        if shift:
+            h = 0.1 * h + shift * 0.1 * (0.6 + 0.8j)
+        st = validate_stats(h)
+        h2 = np.atleast_2d(h)
+        mean = h2.mean()
+        variance = np.mean(np.abs(h2 - mean) ** 2)
+        lag1 = np.real(np.mean(h2[:, 1:] * np.conj(h2[:, :-1]))) / variance
+        dens, edges = np.histogram(np.abs(h2).ravel(), bins=100, range=(0.0, 5.0), density=True)
+        assert st.mean == mean
+        assert st.variance == pytest.approx(variance, rel=1e-12)
+        assert st.lag1_autocorr == pytest.approx(lag1, rel=1e-12)
+        assert np.array_equal(st.bin_edges, edges) and np.array_equal(st.densities, dens)
 
     def test_histogram_is_a_density(self):
         rng = rng_for(15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import ZeroRng
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, psk_d_min_sq, transmit
@@ -142,7 +143,8 @@ class TestTransmit:
     @pytest.mark.parametrize("noise", [True, False])
     @pytest.mark.parametrize("gains", ["real", "zeros", "complex"])
     def test_matches_observation_formula_bitwise(self, gains, noise):
-        # oracle: the observation formulas as plain expressions on the same noise draws
+        # oracle: the observation formulas as plain expressions on the same noise draws, the relayed noise
+        # in its equivalent form sqrt(1 + A^2 |h_rd|^2) w
         c = Constellation.of(4)
         pa = PowerAllocation.equal_from_total_db(7.0)
         draw = np.random.default_rng(9)
@@ -154,15 +156,17 @@ class TestTransmit:
             h_sd, h, h_rd = (g + 1j * draw.standard_normal(s.shape) for g in (h_sd, h, h_rd))
         got_sd, got_rd = transmit(s, h_sd, h, h_rd, pa, np.random.default_rng(10) if noise else ZeroRng())
         ref_rng = np.random.default_rng(10)
+        sd_rd = np.sqrt(1.0 + pa.A * pa.A * (h_rd.real ** 2 + h_rd.imag ** 2))
         if noise:
-            w_sd, w_sr, w_rd = (
-                (ref_rng.standard_normal(s.shape) + 1j * ref_rng.standard_normal(s.shape)) / np.sqrt(2.0)
-                for _ in range(3)
+            w_sd, v_rd = (
+                (pairs[..., 0] + 1j * pairs[..., 1]) * (sd / np.sqrt(2.0))
+                for sd in (1.0, sd_rd)
+                for pairs in [ref_rng.standard_normal((*s.shape, 2))]
             )
         else:
-            w_sd = w_sr = w_rd = 0.0
+            w_sd = v_rd = 0.0
         y_sd = np.sqrt(pa.P0) * h_sd * s + w_sd
-        y_rd = pa.A * np.sqrt(pa.P0) * h * s + (pa.A * h_rd * w_sr + w_rd)
+        y_rd = pa.A * np.sqrt(pa.P0) * h * s + v_rd
         for got, ref in ((got_sd, y_sd), (got_rd, y_rd)):
             assert got.shape == ref.shape and got.dtype == ref.dtype
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -189,6 +193,24 @@ class TestTransmit:
         ones = np.ones(n)
         _, y_rd = transmit(s, ones, ones, ones, pa, rng)
         assert np.mean(np.abs(y_rd) ** 2) == pytest.approx(pa.A**2 + 1.0, rel=0.02)
+
+    @pytest.mark.parametrize("h_rd", [0.0, 0.6 - 0.3j, 2.0 + 1.5j])
+    def test_relayed_noise_is_circular_with_the_equivalent_variance(self, h_rd):
+        # given h_rd, A h_rd w_sr + w_rd is CN(0, 1 + A^2 |h_rd|^2): zero mean and pseudo-variance, that
+        # variance and an exponential |noise|^2, each within about 4 standard errors
+        pa = PowerAllocation.equal_from_total_db(10.0)
+        draw = np.random.default_rng(5)
+        n = 100_000
+        s = Constellation.of(4).symbols[draw.integers(0, 4, n)]
+        h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
+        _, y_rd = transmit(s, np.zeros(n), h, np.full(n, h_rd), pa, np.random.default_rng(6))
+        v = y_rd - pa.A * np.sqrt(pa.P0) * h * s
+        var = 1.0 + pa.A**2 * abs(h_rd) ** 2
+        se = var / np.sqrt(n)  # of the mean of |v|^2, and of each part of the mean of v^2
+        assert abs(np.mean(v)) < 4.0 * np.sqrt(var / n)
+        assert abs(np.mean(np.abs(v) ** 2) - var) < 4.0 * se
+        assert abs(np.mean(v**2)) < 4.0 * np.sqrt(2.0) * se
+        assert stats.kstest(np.abs(v) ** 2 / var, "expon").pvalue > 1e-4
 
     def test_batched_shapes(self):
         c = Constellation.of(4)

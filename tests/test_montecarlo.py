@@ -41,6 +41,14 @@ def run_one(cfg, p_db, scheme=Scheme.TVD):
     return run_point_schemes(cfg, p_db, [scheme])[scheme]
 
 
+def chunk(cfg, p_db, n_frames, index=0):
+    """Chunk `index` of the point at p_db, as run_point_schemes generates it: (data, y_sd, y_rd, h_rd)."""
+    scn = cfg.scenario
+    specs = tuple(FadingSpec(f, generator=cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+    pa, const = PowerAllocation.equal_from_total_db(p_db), Constellation.of(cfg.M)
+    return _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, p_db, index), n_frames)
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig(scenario=SCENARIOS["I"])
@@ -122,10 +130,12 @@ class TestDeterminism:
         assert (a.bit_errors, a.bits, a.ber) == (b.bit_errors, b.bits, b.ber)
 
     def test_seed_changes_outcome(self):
+        # two seeds draw different data, channels and noise; their error counts may still tie
         base = dict(scenario=SCENARIOS["II"], p_db_grid=(10.0,), **FAST)
-        a = run_one(RunConfig(master_seed=4, **base), 10.0)
-        b = run_one(RunConfig(master_seed=5, **base), 10.0)
-        assert a.bit_errors != b.bit_errors
+        a = chunk(RunConfig(master_seed=4, **base), 10.0, 2)
+        b = chunk(RunConfig(master_seed=5, **base), 10.0, 2)
+        for x, y in zip(a, b):
+            assert x.shape == y.shape and not np.array_equal(x, y)
 
     def test_sweep_is_pointwise_reproducible(self):
         grid = (5.0, 10.0)
@@ -137,6 +147,42 @@ class TestDeterminism:
         again = run_point_schemes(cfg, 10.0, schemes)
         assert sweep[1] == again[Scheme.CDD]
         assert sweep[3] == again[Scheme.TVD]
+
+
+class TestChunkStreams:
+    def test_power_and_order_keys_do_not_collide(self):
+        # one key round(p*1000)*16 + M would give (p + 1 mdB, M=16) the stream of (p, M=32)
+        cfg = RunConfig(SCENARIOS["I"], M=16)
+        a = _chunk_rng(cfg, 10.001, 0).standard_normal(4)
+        b = _chunk_rng(replace(cfg, M=32), 10.0, 0).standard_normal(4)
+        assert not np.array_equal(a, b)
+
+    def test_negative_power_has_its_own_stream(self):
+        cfg = RunConfig(SCENARIOS["I"])
+        draws = [_chunk_rng(cfg, p_db, 0).standard_normal(4) for p_db in (-10.0, 10.0, -0.001)]
+        assert not np.array_equal(draws[0], draws[1]) and not np.array_equal(draws[0], draws[2])
+
+    def test_words_are_non_negative_and_distinct_over_the_valid_power_range(self, monkeypatch):
+        # PowerAllocation accepts about -3239..3083 dB; every key word must be a non-negative integer
+        lo, hi = -3230.0, 3080.0
+        PowerAllocation.equal_from_total_db(lo), PowerAllocation.equal_from_total_db(hi)
+        for outside in (lo - 20.0, hi + 10.0):
+            with pytest.raises(ValueError):
+                PowerAllocation.equal_from_total_db(outside)
+        keys = []
+
+        def recording(words):
+            keys.append(words)
+            return np.random.default_rng(0)
+
+        monkeypatch.setattr(montecarlo, "seeded_rng", recording)
+        powers = (lo, -0.001, 0.0, 0.001, hi)
+        for seed in (0, -1, 2**64 - 1):
+            for p_db in powers:
+                _chunk_rng(RunConfig(SCENARIOS["I"], M=4, master_seed=seed), p_db, 7)
+        assert all(isinstance(w, int) and w >= 0 for words in keys for w in words)
+        assert all(words[0] < 2**64 and max(words[1:]) < 2**32 for words in keys)
+        assert len({tuple(words) for words in keys}) == 2 * len(powers)  # seeds -1 and 2**64 - 1 coincide
 
 
 class TestWorkerCount:
@@ -161,7 +207,8 @@ class TestWorkerCount:
         assert all(point == serial for point in threaded)
 
     def test_error_stopped_point_discards_chunks_past_the_stop(self, monkeypatch):
-        # the serial run stops after 5 chunks of 2 frames, inside a round for W = 2 and W = 3
+        # the serial run stops on its error count after `stop` chunks of 2 frames; a threaded run computes
+        # whole rounds, so W = stop + 1 always computes a chunk past the stop, which it must discard
         cfg = RunConfig(SCENARIOS["I"], p_db_grid=(10.0,), min_bit_errors=50, max_symbols=10**5, frame_len=100,
                         frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=8)
         calls = []  # the worker count of every chunk computed
@@ -172,12 +219,15 @@ class TestWorkerCount:
             return generate(*args)
 
         monkeypatch.setattr(montecarlo, "_generate_chunk", counting)
-        serial, *threaded = self.run_each(monkeypatch, cfg, 10.0)
-        assert serial[Scheme.TVD].bits == 5 * 2 * 100
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        serial = run_point_schemes(cfg, 10.0, (Scheme.CDD, Scheme.TVD))
+        stop = len(calls)
+        assert serial[Scheme.TVD].bits == stop * 2 * 100 < cfg.max_symbols
         assert not serial[Scheme.TVD].truncated
-        # whole rounds are computed: 6 chunks for W = 2 and 3, one of them past the stop
-        assert [calls.count(w) for w in self.WORKERS] == [5, 6, 6]
-        assert all(point == serial for point in threaded)
+        for workers in (2, 3, stop + 1):
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            assert run_point_schemes(cfg, 10.0, (Scheme.CDD, Scheme.TVD)) == serial
+            assert calls.count(workers) == -(-stop // workers) * workers
 
     def test_one_chunk_point_starts_no_thread(self, monkeypatch):
         # 2 frames in one chunk of 2: the calling thread computes it for every W
@@ -221,17 +271,27 @@ class TestWorkerCount:
                 run_point_schemes(cfg, 10.0, [Scheme.TVD])
 
     def test_sweep_schedule_matches_each_point_for_every_worker_count(self, monkeypatch):
-        # 13 frames in 7 chunks of 2, 2, 2, 2, 2, 2, 1: the 40 dB point is bound by the budget, the 10 dB
-        # point stops on its error count after 5 chunks and the 5 dB point after 1, inside a round for
-        # W = 2 and 3; the rounds of every W > 1 mix the chunks of two points
+        # 13 frames in 7 chunks of 2, 2, 2, 2, 2, 2, 1: the 40 dB point is bound by the budget, and the serial
+        # runs give the chunks after which the 10 dB and 5 dB points stop on their error counts
         cfg = RunConfig(SCENARIOS["I"], p_db_grid=(40.0, 10.0, 5.0), min_bit_errors=50, max_symbols=13 * 100,
                         frame_len=100, frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=8)
         schemes = [Scheme.CDD, Scheme.TVD]
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         points = [run_point_schemes(cfg, p_db, schemes) for p_db in cfg.p_db_grid]
-        assert [(e.bits, e.truncated) for e in (point[Scheme.TVD] for point in points)] == [
-            (1300, True), (1000, False), (200, False)
-        ]
+        estimates = [point[Scheme.TVD] for point in points]
+        assert estimates[0].bits == 1300 and estimates[0].truncated
+        assert not any(e.truncated for e in estimates[1:])
+        stops = [-(-e.bits // 200) for e in estimates]
+
+        def scheduled(workers):
+            # a point's chunks fill the round of its stopping chunk, unless it runs out of chunks first
+            total = 0
+            for stop in stops:
+                total = min(-(-(total + stop) // workers) * workers, total + 7)
+            return total
+
+        expected = [scheduled(w) for w in self.WORKERS]
+        assert expected[0] == sum(stops) and max(expected) > sum(stops)  # some W computes past a stop
         calls = []  # the worker count of every chunk computed
         generate = montecarlo._generate_chunk
 
@@ -245,9 +305,8 @@ class TestWorkerCount:
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
             sweeps.append(run_sweep(cfg, schemes))
         assert all(sweep == [point[s] for s in schemes for point in points] for sweep in sweeps)
-        # 7 + 5 + 1 chunks, and W - 1 more computed past the stop of the 5 dB point; none of a stopped point
-        # is scheduled in a later round
-        assert [calls.count(w) for w in self.WORKERS] == [13, 14, 15]
+        # none of a stopped point's chunks is scheduled in a later round
+        assert [calls.count(w) for w in self.WORKERS] == expected
 
     def test_points_of_a_sweep_run_at_once(self, monkeypatch):
         # two one-chunk points and W = 2: their chunks pass the barrier only if they are computed together
@@ -278,12 +337,12 @@ class TestChunkMemory:
         _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 10.0, 0), 8)  # one-time allocations
         tracemalloc.start()
         try:
-            chunk = _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 10.0, 0), 8)
+            generated = _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 10.0, 0), 8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         array = np.empty((8, 10**4 + 1), dtype=complex).nbytes
-        assert chunk[1].shape == (8, 10**4 + 1)
+        assert generated[1].shape == (8, 10**4 + 1)
         assert peak <= 8.5 * array
 
 
@@ -332,9 +391,14 @@ class TestAgainstTheory:
         assert est.ber == pytest.approx(theory, rel=0.5)
 
     def test_dqpsk_higher_ber_than_dbpsk(self):
-        base = dict(scenario=SCENARIOS["I"], p_db_grid=(12.0,), master_seed=10, **FAST)
+        # TVD at 12 dB reads about 0.025 for M=2 and 0.054 for M=4.  Scenario I fades so slowly that one chunk
+        # of 32 frames (FAST stops after it) spreads about 0.014 either way, so every order runs 256 frames:
+        # over 64 seeds, the BERs then spread 0.004-0.005 and M=4 read higher at each seed
+        base = dict(FAST, scenario=SCENARIOS["I"], p_db_grid=(12.0,), master_seed=10,
+                    min_bit_errors=10**9, max_symbols=256 * 10**3)
         b2 = run_one(RunConfig(M=2, **base), 12.0)
         b4 = run_one(RunConfig(M=4, **base), 12.0)
+        assert b2.bits == 256 * 10**3 and b4.bits == 2 * 256 * 10**3
         assert b4.ber > b2.ber
 
 

@@ -14,8 +14,9 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
 - `theory_<scenario>_m<M>.csv`: `sweep --no-sim --scheme all` on 0:0.5:60;
 - `chunk_<gen>_<cascade>.bin`: the raw bytes of one seeded simulation chunk (8 frames of
   1000 symbols, scenario III, M=4, 20 dB) for ar1/sos x exact/approx: the symbols, the fading
-  and both observations, built by `gen_fading`, `gen_cascaded`, `diff_encode` and `transmit`,
-  so that a change of one last bit shows, which the printed BERs hide;
+  and both observations, drawn from the simulation's own chunk stream (`montecarlo._chunk_rng`)
+  and built by `gen_fading`, `gen_cascaded`, `diff_encode` and `transmit`, so that a change of
+  one last bit shows, which the printed BERs hide;
 - `SHA256SUMS`, one `sha256sum`-format line per output, sorted by name.
 
 To check a change, run this file from the parent checkout and from the change
@@ -31,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from dafrelay import channel, link  # noqa: E402
+from dafrelay import channel, link, montecarlo  # noqa: E402
 from dafrelay.cli import main as dafrelay_main  # noqa: E402
 
 SCENARIOS = ("I", "II", "III")
@@ -65,12 +66,14 @@ def chunks():
     scn = channel.SCENARIOS["III"]
     const = link.Constellation.of(4)
     power = link.PowerAllocation.equal_from_total_db(20.0)
+    config = montecarlo.RunConfig(scn, M=const.M, master_seed=5)
     n_frames, frame_len = 8, 1000
     for i, gen in enumerate(channel.FadingGenerator):
         spec_sd, spec_sr, spec_rd = (channel.FadingSpec(f, generator=gen) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
         for j, cascade in enumerate(channel.CascadedModelKind):
-            rng = np.random.default_rng(np.random.SeedSequence([5, i, j]))
-            s = link.diff_encode(rng.integers(0, const.M, (n_frames, frame_len)), const)
+            rng = montecarlo._chunk_rng(config, 20.0, 2 * i + j)
+            data = rng.integers(0, const.M, (n_frames, frame_len), dtype=np.min_scalar_type(const.M - 1))
+            s = link.diff_encode(data, const)
             h_sd = channel.gen_fading(spec_sd, frame_len + 1, rng, n_frames)
             h, h_rd = channel.gen_cascaded(spec_sr, spec_rd, cascade, frame_len + 1, rng, n_frames)
             y_sd, y_rd = link.transmit(s, h_sd, h, h_rd, power, rng)
