@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .specials import bessel_j0, bessel_k0
 
@@ -123,29 +123,35 @@ def _crandn(rng, shape, scale=1.0):
     return pairs.view(complex).reshape(shape)
 
 
-# rows at least this long filter faster as two real recursions than as one complex one (17.5 -> 13.5 ns per
-# sample at 10^3); lfilter's cost per row makes twice the rows slower when they are short (43 -> 56 at 10)
-_AR1_REAL_MIN_LEN = 64
-# samples per lfilter call: lfilter returns a new array, so filtering in row blocks keeps that temporary small
+# samples per row block of _ar1: lfilter returns a new array, so filtering in row blocks keeps that temporary
+# small, and a block stepped by column stays in cache
 _AR1_BLOCK = 1 << 16
 
 
 def _ar1(a, h0, x):
-    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], by lfilter over blocks of rows.
+    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], over blocks of rows.
 
-    The bits are those of the plain loop, also for a = 1 with zero input and for x without columns.
+    Blocks at least as tall as they are wide (validate-channel's 10-sample rows) are stepped by column, two
+    numpy calls per column; the column loop's cost per call makes it slow on wider ones (the sweeps' frames,
+    and any rows over 256 samples), which run lfilter on their (rows, L, 2) float view, since a is real and the
+    real and imaginary parts filter apart.  The bits are those of the plain loop, also for a = 1 with zero
+    input and for x without columns.
     """
-    from scipy.signal import lfilter
-
     n, length = len(h0), x.shape[1] + 1
     h = np.empty((n, length), dtype=complex)
     h[:, 0] = h0
-    out = h
-    if length >= _AR1_REAL_MIN_LEN:
-        # a is real, so the real and imaginary parts filter apart, on the (n, L, 2) float view
-        out = h.view(float).reshape(n, length, 2)
-        x = np.ascontiguousarray(x, dtype=complex).view(float).reshape(n, length - 1, 2)
     rows = max(1, _AR1_BLOCK // length)
+    if min(n, rows) >= length:
+        for i in range(0, n, rows):
+            block, xb = h[i:i + rows], x[i:i + rows]
+            for k in range(1, length):
+                np.multiply(block[:, k - 1], a, out=block[:, k])
+                block[:, k] += xb[:, k - 1]
+        return h
+    from scipy.signal import lfilter
+
+    out = h.view(float).reshape(n, length, 2)
+    x = np.ascontiguousarray(x, dtype=complex).view(float).reshape(n, length - 1, 2)
     for i in range(0, n, rows):
         block = out[i:i + rows]
         block[:, 1:], _ = lfilter([1.0], [1.0, -a], x[i:i + rows], axis=1, zi=a * block[:, :1])
@@ -272,6 +278,7 @@ _HIST_EDGES = np.linspace(*_HIST_RANGE, _HIST_BINS + 1)
 _INNER_EDGES = _HIST_EDGES[1:-1]
 _HIST_MASSES = np.diff(np.concatenate(([0.0], 1.0 - 2.0 * _INNER_EDGES * special.k1(2.0 * _INNER_EDGES), [1.0])))
 _CHI_SQUARE_MIN_EXPECTED = 5.0  # bins expecting fewer samples are merged into their neighbours
+_CHI_SQUARE_RTOL = np.sqrt(np.finfo(float).eps)  # scipy.stats.chisquare's check of the totals
 _STATS_BLOCK = 1 << 16  # samples per pass of validate_stats, which makes no temporary of the samples' size
 
 
@@ -283,7 +290,7 @@ def validate_stats(samples) -> ChannelStats:
     least 10^4 samples in total.  The variance is E|h - mean|^2 (two passes) and
     the lag-1 autocorrelation Re E[h[k] conj(h[k-1])] over it.
     """
-    h = np.asarray(samples)
+    h = np.asarray(samples, dtype=complex)
     if h.ndim == 1:
         h = h[None, :]
     if h.size < 10_000:
@@ -292,17 +299,22 @@ def validate_stats(samples) -> ChannelStats:
         raise ValueError("validate_stats needs at least 2 samples per realization")
     mean = complex(h.mean())
     flat = h.ravel()
-    sq_dev = 0.0
+    # the real sums below are einsum dot products over float views: (re, im) pairs, so that
+    # Re conj(u)*v = re_u*re_v + im_u*im_v; einsum runs on one thread, so the bits do not depend on BLAS's thread count
+    sq_dev = lag_sum = 0.0
     counts = np.zeros(_HIST_BINS, dtype=np.intp)
     for i in range(0, flat.size, _STATS_BLOCK):
         block = flat[i:i + _STATS_BLOCK]
-        dev = block - mean
-        sq_dev += np.vdot(dev, dev).real
+        dev = (block - mean).view(float)
+        sq_dev += np.einsum("i,i->", dev, dev)
+        # products of neighbours in the flat array, the last one with the first sample of the next block
+        pairs = flat[i:i + _STATS_BLOCK + 1].view(float)
+        lag_sum += np.einsum("i,i->", pairs[:-2], pairs[2:])
         counts += np.histogram(np.abs(block), bins=_HIST_BINS, range=_HIST_RANGE)[0]
     variance = sq_dev / flat.size
-    # the products of neighbours in the flat array, less those across the ends of rows
-    lag_sum = np.vdot(flat[:-1], flat[1:]) - np.vdot(h[:-1, -1], h[1:, 0])
-    lag1 = float(lag_sum.real / (h.shape[0] * (h.shape[1] - 1)) / variance)
+    # less the products across the ends of rows
+    lag_sum -= np.einsum("ij,ij->", h[:-1, -1:].view(float), h[1:, :1].view(float))
+    lag1 = float(lag_sum / (h.shape[0] * (h.shape[1] - 1)) / variance)
     edges = _HIST_EDGES.copy()
     return ChannelStats(mean, float(variance), lag1, edges, counts / np.diff(edges) / counts.sum())
 
@@ -335,7 +347,16 @@ def envelope_chi_square(samples):
     if acc_e > 0:
         obs_m[-1] += acc_o
         exp_m[-1] += acc_e
-    obs_m = np.array(obs_m)
-    exp_m = np.array(exp_m)
-    stat, p = stats.chisquare(obs_m, exp_m)
-    return float(stat), float(p)
+    return _pearson_chi_square(np.array(obs_m), np.array(exp_m))
+
+
+def _pearson_chi_square(observed, expected):
+    """Pearson's statistic sum((o - e)^2 / e) and its chi-square(k - 1) upper tail, as scipy.stats.chisquare.
+
+    The observed and expected totals must agree to chisquare's relative tolerance sqrt(eps).
+    """
+    obs_sum, exp_sum = observed.sum(), expected.sum()
+    if abs(obs_sum - exp_sum) > _CHI_SQUARE_RTOL * min(obs_sum, exp_sum):
+        raise ValueError(f"chi-square: observed total {obs_sum} and expected total {exp_sum} differ")
+    stat = np.sum((observed - expected) ** 2 / expected)
+    return float(stat), float(special.chdtrc(len(observed) - 1, stat))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from dafrelay import channel
 from dafrelay.channel import (
     SCENARIOS,
     CascadedModelKind,
@@ -114,7 +115,7 @@ class TestSingleLinkGenerators:
         assert np.array_equal(h, ref[0] if realizations is None else ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
-    @pytest.mark.parametrize("length", [10, 1001])  # a complex filter and one on the float view
+    @pytest.mark.parametrize("length", [10, 1001])  # stepped by column, and lfilter on the float view
     def test_ar1_blocks_match_one_lfilter(self, length):
         # oracle: one complex lfilter over every row at once; the row count is not a multiple of the block
         from scipy.signal import lfilter
@@ -127,6 +128,39 @@ class TestSingleLinkGenerators:
         ref[:, 0] = h0
         ref[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * ref[:, :1])
         assert np.array_equal(_ar1(a, h0, x).view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("length", [10, 256])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])  # a wide block, then tall ones
+    def test_ar1_matches_loop_and_lfilter_at_the_square(self, length, extra_rows):
+        # oracles: the plain loop h[:, k] = a*h[:, k-1] + x[:, k-1], and one complex lfilter over every row
+        from scipy.signal import lfilter
+
+        rows = length + extra_rows
+        rng = rng_for(26, length, extra_rows + 1)
+        h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
+        a = 0.97
+        loop = np.empty((rows, length), dtype=complex)
+        loop[:, 0] = h0
+        for k in range(1, length):
+            loop[:, k] = a * loop[:, k - 1] + x[:, k - 1]
+        ref = np.empty_like(loop)
+        ref[:, 0] = h0
+        ref[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * ref[:, :1])
+        h = _ar1(a, h0, x)
+        assert np.array_equal(h.view(np.uint64), loop.view(np.uint64))
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_ar1_of_length_one_is_h0(self, rows):
+        h0 = _crandn(rng_for(27), rows)
+        h = _ar1(0.97, h0, np.empty((rows, 0), dtype=complex))
+        assert h.shape == (rows, 1) and np.array_equal(h[:, 0], h0)
+
+    @pytest.mark.parametrize("rows, length", [(30, 10), (3, 10)])  # stepped by column, and lfilter
+    def test_ar1_holds_h0_at_unit_a_without_input(self, rows, length):
+        h0 = _crandn(rng_for(28), rows)
+        h = _ar1(1.0, h0, np.zeros((rows, length - 1), dtype=complex))
+        assert np.array_equal(h, np.repeat(h0[:, None], length, axis=1))
 
     def test_ar1_moments_and_lag1(self):
         # f = 0.01, 10^6 samples: variance 1 +/- 0.01, lag-1 within 0.01 of J0
@@ -304,6 +338,52 @@ class TestEnvelopeDistribution:
         lam[:50] = bad
         with pytest.raises(ValueError, match="envelope_chi_square"):
             envelope_chi_square(lam)
+
+    def test_pearson_chi_square_matches_scipy_chisquare(self):
+        # oracle: scipy.stats.chisquare, bit for bit, on random tables whose totals agree
+        from scipy import stats
+
+        rng = rng_for(29)
+        for _ in range(200):
+            k = rng.integers(2, 100)
+            n = rng.integers(10, 10**6)
+            expected = rng.uniform(0.5, 50.0, k)
+            expected *= n / expected.sum()
+            observed = rng.multinomial(n, expected / expected.sum()).astype(float)
+            ref = stats.chisquare(observed, expected)
+            assert channel._pearson_chi_square(observed, expected) == (ref.statistic, ref.pvalue)
+
+    def test_chi_square_with_merged_bins_matches_scipy_chisquare(self, monkeypatch):
+        # 2000 samples expect fewer than 5 in the outer bins, which are merged; oracle: scipy.stats.chisquare
+        # on the merged table that envelope_chi_square passes on
+        from scipy import stats
+
+        rng = rng_for(30)
+        n = 2000
+        lam = np.abs(
+            (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        ) / 2.0
+        tables = []
+        pearson = channel._pearson_chi_square
+        monkeypatch.setattr(channel, "_pearson_chi_square", lambda o, e: tables.append((o, e)) or pearson(o, e))
+        stat, p = envelope_chi_square(lam)
+        (observed, expected), = tables
+        assert len(observed) < len(_HIST_MASSES) and observed.sum() == n
+        ref = stats.chisquare(observed, expected)
+        assert (stat, p) == (ref.statistic, ref.pvalue)
+
+    def test_chi_square_rejects_mismatched_totals(self):
+        # scipy.stats.chisquare's tolerance, sqrt(eps) of the smaller total: 1e-9 apart passes, 1e-7 does not
+        from scipy import stats
+
+        observed = np.array([400.0, 350.0, 250.0])
+        close, far = (np.array([390.0, 360.0, 250.0 + d]) for d in (1e-6, 1e-4))
+        assert channel._pearson_chi_square(observed, close) == tuple(stats.chisquare(observed, close))
+        with pytest.raises(ValueError, match="chi-square"):
+            channel._pearson_chi_square(observed, far)
+        with pytest.raises(ValueError):
+            stats.chisquare(observed, far)
 
     def test_chi_square_accepts_true_distribution(self):
         rng = rng_for(12)

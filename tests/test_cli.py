@@ -1,6 +1,9 @@
 """Command-line interface: CSV contract, config handling, exit codes."""
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +230,41 @@ class TestValidateChannelCommand:
 
     def test_too_few_samples_exits_usage(self):
         assert main(["validate-channel", "--scenario", "I", "--samples", "100"]) == EXIT_USAGE
+
+
+IMPORT_PROBE = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from dafrelay.cli import main
+
+def heavy():
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules} & {"scipy.stats", "scipy.signal"})
+
+for argv in (["sweep", "--no-sim", "--scheme", "all", "--scenario", "III", "--pdb", "0:10:30"],
+             ["sweep", "--config", sys.argv[2], "--scheme", "all", "--scenario", "III", "--pdb", "10"],
+             ["validate-channel", "--scenario", "III", "--samples", "10000"]):
+    assert main(argv + ["--out", os.devnull]) == 0, argv
+print(heavy())
+assert main(["sweep", "--config", sys.argv[3], "--scenario", "III", "--pdb", "10", "--out", os.devnull]) == 0
+print(heavy())
+"""
+
+
+def test_sweeps_and_validation_import_neither_scipy_stats_nor_signal(tmp_path):
+    # a fresh interpreter runs a theory-only sweep, an SoS exact-cascade sweep and validate-channel's 1000 x 10
+    # rows, and then an AR(1) sweep, whose 1000-sample rows run lfilter: the probe sees scipy.signal load there
+    # (which loads scipy.stats with it)
+    cfgs = []
+    for gen, cascade, frame_len in (("sos", "exact", 100), ("ar1", "approx", 1000)):
+        cfgs.append(tmp_path / f"{gen}.cfg")
+        cfgs[-1].write_text(f"generator = {gen}\ncascaded = {cascade}\nframe_len = {frame_len}\n"
+                            "max_symbols = 2000\nmin_bit_errors = 50\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src), *map(str, cfgs)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == "[]" and "scipy.signal" in after
 
 
 class TestDopplerCommand:

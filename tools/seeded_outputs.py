@@ -11,6 +11,9 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
   exact/approx x scenarios I-III x M=2,4 x `--scheme all|tvd`, seed 1,
   `--pdb 0:10:50`, frame_len 1000, max_symbols 1e5, min_bit_errors 300;
 - `validate_<scenario>.txt`: `validate-channel` for I-III, 10^6 samples, seed 3;
+- `validate_raw_<scenario>.txt`: the `repr` of each model's mean, variance and lag-1
+  autocorrelation that run computed, so that a change of one last bit shows, which the
+  printed five decimals hide;
 - `theory_<scenario>_m<M>.csv`: `sweep --no-sim --scheme all` on 0:0.5:60;
 - `chunk_<gen>_<cascade>.bin`: the raw bytes of one seeded simulation chunk (8 frames of
   1000 symbols, scenario III, M=4, 20 dB) for ar1/sos x exact/approx: the symbols, the fading
@@ -32,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from dafrelay import channel, link, montecarlo  # noqa: E402
+from dafrelay import channel, cli, link, montecarlo  # noqa: E402
 from dafrelay.cli import main as dafrelay_main  # noqa: E402
 
 SCENARIOS = ("I", "II", "III")
@@ -61,6 +64,22 @@ def commands(cfgdir: Path):
                                              "--m", str(m), "--pdb", "0:0.5:60"]
 
 
+def recorded(fn, results: list):
+    """`fn`, appending each of its results to `results`."""
+
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    return wrapper
+
+
+def validate_raw(stats) -> bytes:
+    """The repr of the mean, variance and lag-1 of each model's ChannelStats, in validate-channel's order."""
+    return "".join(f"model={kind.value} mean={st.mean!r} variance={st.variance!r} lag1={st.lag1_autocorr!r}\n"
+                   for kind, st in zip(channel.CascadedModelKind, stats, strict=True)).encode()
+
+
 def chunks():
     """(output name, raw bytes) of one seeded chunk per generator and cascade model."""
     scn = channel.SCENARIOS["III"]
@@ -87,16 +106,22 @@ def main(argv) -> int:
         return 2
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
+    raws = []  # (name, bytes) of the outputs written from in-process results
+    stats = []  # the ChannelStats of the running validate-channel command
+    cli.validate_stats = recorded(cli.validate_stats, stats)
     sums = []
     with tempfile.TemporaryDirectory() as cfgdir:
         for name, args in commands(Path(cfgdir)):
             path = outdir / name
+            stats.clear()
             rc = dafrelay_main(args + ["--out", str(path)])
             if rc != 0:
                 sys.stderr.write(f"{name}: dafrelay {' '.join(args)} exited {rc}\n")
                 return 1
             sums.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
-    for name, raw in chunks():
+            if stats:
+                raws.append((name.replace("validate_", "validate_raw_"), validate_raw(stats)))
+    for name, raw in [*raws, *chunks()]:
         (outdir / name).write_bytes(raw)
         sums.append(f"{hashlib.sha256(raw).hexdigest()}  {name}\n")
     (outdir / "SHA256SUMS").write_text("".join(sorted(sums, key=lambda line: line.split()[1])))
