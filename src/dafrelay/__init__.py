@@ -10,6 +10,7 @@ from .analysis import (
     gamma_sd,
     pep,
     pep_point,
+    pep_points,
     pep_upper_bound,
     ser_ber_from_pep,
 )

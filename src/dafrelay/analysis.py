@@ -29,6 +29,7 @@ __all__ = [
     "error_floor",
     "ser_ber_from_pep",
     "pep_point",
+    "pep_points",
 ]
 
 
@@ -105,21 +106,23 @@ def i1_closed_form(theta, params: PepParams):
     relayed-branch SNR.  Vectorized over theta.
     """
     theta = np.asarray(theta, dtype=float)
-    a2 = params.alpha**2
-    aa = params.A**2
-    p0 = params.P0
-    d2 = params.d_min_sq
-    s2 = np.sin(theta) ** 2
+    return _i1(np.sin(theta) ** 2, params.alpha**2, params.A**2, params.P0, params.d_min_sq)[()]
+
+
+def _i1(s2, a2, aa, p0, d2):
+    """I1 at sin^2(theta) = s2, alpha^2 = a2 and A^2 = aa.  Broadcasts, so that a column of power
+    points meets a row of nodes; each element gets the bits of the one-point evaluation."""
     denom = a2 * aa * p0 * d2 / s2 + 4.0 * (1.0 - a2) * aa * p0 + 8.0 * aa
     eps1 = (4.0 * (1.0 - a2) * aa * p0 + 8.0 * aa) / denom
     beta1 = 4.0 / (2.0 * (1.0 - a2) * aa * p0 + 4.0 * aa)
     beta2 = 8.0 / denom
-    return (eps1 * (1.0 + (beta1 - beta2) * exp_e1_scaled(beta2)))[()]
+    return eps1 * (1.0 + (beta1 - beta2) * exp_e1_scaled(beta2))
 
 
 _QUAD_ORDER = 64
 _QUAD_CHECK_ORDER = 128
 _QUAD_RTOL = 1e-9
+_PEP_BLOCK = 256  # power points per quadrature pass: each (points x nodes) temporary stays below 0.4 MB
 
 
 @functools.cache
@@ -154,16 +157,31 @@ def pep(params: PepParams) -> float:
     with an order-doubling refinement check at relative tolerance 1e-9.  The integrand
     is evaluated once over the nodes of both orders.
     """
+    return _pep_rows([params])[0]
+
+
+def _pep_rows(params: list, p_dbs=None) -> list:
+    """`pep` of each row of `params`, in one pass over (rows x nodes of both orders).
+
+    Each row's P0, A^2, alpha^2, d_min^2 and gamma_sd * d_min^2 are taken as Python scalars, as
+    the one-row evaluation takes them, and stacked as columns, so every row keeps the bits of
+    `pep` alone.  Rows are checked in order; the first that fails its refinement check raises
+    QuadratureError, which names its power from `p_dbs` when given.
+    """
     theta, wt, s2 = _theta_rule()
-    integrand = i1_closed_form(theta, params) / (1.0 + gamma_sd(params) * params.d_min_sq / (2.0 * s2))
-    terms = wt * integrand
-    v = float(np.sum(terms[:_QUAD_ORDER]) / np.pi)
-    v_ref = float(np.sum(terms[_QUAD_ORDER:]) / np.pi)
-    if abs(v - v_ref) > _QUAD_RTOL * max(abs(v_ref), 1e-300):
+    p0, aa, a2, d2, g = (np.array(col)[:, None] for col in zip(
+        *((p.P0, p.A**2, p.alpha**2, p.d_min_sq, gamma_sd(p) * p.d_min_sq) for p in params)))
+    terms = wt * (_i1(s2, a2, aa, p0, d2) / (1.0 + g / (2.0 * s2)))
+    v = np.sum(terms[:, :_QUAD_ORDER], axis=-1) / np.pi
+    v_ref = np.sum(terms[:, _QUAD_ORDER:], axis=-1) / np.pi
+    failed = np.abs(v - v_ref) > _QUAD_RTOL * np.maximum(np.abs(v_ref), 1e-300)
+    if failed.any():
+        i = int(np.argmax(failed))
+        where = "" if p_dbs is None else f" at {p_dbs[i]:g} dB"
         raise QuadratureError(
-            f"theta-quadrature did not converge: {v!r} vs {v_ref!r} at refinement"
+            f"theta-quadrature did not converge{where}: {float(v[i])!r} vs {float(v_ref[i])!r} at refinement"
         )
-    return v_ref
+    return v_ref.tolist()
 
 
 def pep_upper_bound(params: PepParams) -> float:
@@ -213,10 +231,32 @@ def ser_ber_from_pep(pep_value: float, M: int) -> tuple[float, float]:
     return ser, ber
 
 
+def pep_points(alpha_sd: float, alpha: float, p_dbs, M: int) -> list[PepPoint]:
+    """Full analytic records (PEP, SER, BER, floor) of a sequence of total powers p_dbs (dB).
+
+    The quadrature runs once per block of _PEP_BLOCK points, each point with the bits of
+    `pep_point`; the floor does not depend on the power and is computed once.  The first point
+    in grid order that fails, by a ValueError of its parameters or a QuadratureError, decides
+    the error.
+    """
+    peps = []
+    for start in range(0, len(p_dbs), _PEP_BLOCK):
+        block = p_dbs[start:start + _PEP_BLOCK]
+        params = []
+        try:
+            for p_db in block:
+                params.append(PepParams.for_link(alpha_sd, alpha, p_db, M))
+        except ValueError:
+            if params:
+                _pep_rows(params, block)  # a failure at an earlier point comes first
+            raise
+        peps += _pep_rows(params, block)
+    if not peps:
+        return []
+    floor = error_floor(params[0])
+    return [PepPoint(p_db, p, *ser_ber_from_pep(p, M), floor) for p_db, p in zip(p_dbs, peps)]
+
+
 def pep_point(alpha_sd: float, alpha: float, p_db: float, M: int) -> PepPoint:
     """Full analytic record (PEP, SER, BER, floor) at one power level."""
-    params = PepParams.for_link(alpha_sd, alpha, p_db, M)
-    p = pep(params)
-    ser, ber = ser_ber_from_pep(p, M)
-    floor = error_floor(params)
-    return PepPoint(p_db, p, ser, ber, floor)
+    return pep_points(alpha_sd, alpha, (p_db,), M)[0]

@@ -138,13 +138,14 @@ def cmd_sweep(args) -> int:
     m, grid = base.M, base.p_db_grid
 
     alpha_sd, alpha = scenario.autocorrs()
-    # theory and floor depend on the point only; rows are scheme-major, as run_sweep returns them
-    points = [analysis.pep_point(alpha_sd, alpha, p_db, m) for p_db in grid]
+    # theory depends on the point only, the floor on neither point nor scheme; rows are
+    # scheme-major, as run_sweep returns them
+    points = analysis.pep_points(alpha_sd, alpha, grid, m)
+    _, floor_ber = analysis.ser_ber_from_pep(points[0].floor, m)
     cells = [(scheme, p_db, point) for scheme in schemes for p_db, point in zip(grid, points)]
     estimates = [None] * len(cells) if args.no_sim else run_sweep(base, schemes)
     rows = []
     for (scheme, p_db, point), est in zip(cells, estimates):
-        _, floor_ber = analysis.ser_ber_from_pep(point.floor, m)
         # values to 6 significant digits; the simulation columns are empty without an estimate
         ber_sim = ci95 = truncated = ""
         if est:

@@ -1,13 +1,19 @@
 """Analytic PEP/SER/BER: closed forms against direct numerical integration."""
 
+import functools
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dafrelay import analysis
 from dafrelay.analysis import (
     PepParams,
+    QuadratureError,
     error_floor,
     gamma_rd,
     gamma_rd_high_snr,
@@ -15,12 +21,13 @@ from dafrelay.analysis import (
     i1_closed_form,
     pep,
     pep_point,
+    pep_points,
     pep_upper_bound,
     ser_ber_from_pep,
 )
 from dafrelay.channel import SCENARIOS
 from dafrelay.link import Constellation, PowerAllocation
-from dafrelay.specials import bessel_j0
+from dafrelay.specials import bessel_j0, exp_e1_scaled
 
 ALPHA = {f: float(bessel_j0(2 * np.pi * f)) for f in (0.001, 0.01, 0.05)}
 
@@ -263,3 +270,101 @@ class TestPepPoint:
         params = PepParams.for_link(alpha_sd, alpha, 25.0, 2)
         assert pt.pep == pytest.approx(pep(params), rel=0)
         assert pt.floor == pytest.approx(error_floor(params), rel=0)
+
+
+LATTICE = tuple(round(-30.0 + 0.5 * i, 9) for i in range(221))  # -30:0.5:80 dB
+NODES = analysis._QUAD_ORDER + analysis._QUAD_CHECK_ORDER
+
+
+@functools.cache
+def pep_one_point(scenario, p_db, M):
+    """Oracle: (PEP, SER, BER, floor) of one power point, with scalar coefficients over one row of
+    nodes, operation for operation as one point was evaluated before the grid pass."""
+    params = PepParams.for_link(*SCENARIOS[scenario].autocorrs(), p_db, M)
+    _, wt, s2 = analysis._theta_rule()
+    a2, aa, p0, d2 = params.alpha**2, params.A**2, params.P0, params.d_min_sq
+    denom = a2 * aa * p0 * d2 / s2 + 4.0 * (1.0 - a2) * aa * p0 + 8.0 * aa
+    eps1 = (4.0 * (1.0 - a2) * aa * p0 + 8.0 * aa) / denom
+    beta1 = 4.0 / (2.0 * (1.0 - a2) * aa * p0 + 4.0 * aa)
+    beta2 = 8.0 / denom
+    i1 = eps1 * (1.0 + (beta1 - beta2) * exp_e1_scaled(beta2))
+    terms = wt * (i1 / (1.0 + gamma_sd(params) * d2 / (2.0 * s2)))
+    value = float(np.sum(terms[analysis._QUAD_ORDER:]) / np.pi)
+    return (value, *ser_ber_from_pep(value, M), error_floor(params))
+
+
+def record(point):
+    return point.P_dB, point.pep, point.ser, point.ber, point.floor
+
+
+def recorded_e1(calls: list):
+    """exp_e1_scaled, appending each call's argument to `calls`."""
+
+    def wrapper(x):
+        calls.append(np.asarray(x))
+        return exp_e1_scaled(x)
+
+    return wrapper
+
+
+class TestPepPoints:
+    @pytest.mark.parametrize("M", [2, 4])
+    @pytest.mark.parametrize("scenario", ["I", "II", "III"])
+    def test_bitwise_equal_to_one_point_evaluation(self, monkeypatch, scenario, M):
+        calls = []
+        monkeypatch.setattr(analysis, "exp_e1_scaled", recorded_e1(calls))
+        alphas = SCENARIOS[scenario].autocorrs()
+        points = pep_points(*alphas, LATTICE, M)
+        assert [record(pt) for pt in points] == [(p_db, *pep_one_point(scenario, p_db, M)) for p_db in LATTICE]
+        # both branches of exp_e1_scaled: scipy's E1 up to 50, the asymptotic series above
+        x = np.concatenate([c.ravel() for c in calls])
+        assert np.any(x <= 50.0) and np.any(x > 50.0)
+        monkeypatch.undo()
+        assert [record(pt) for pt in points] == [record(pep_point(*alphas, p_db, M)) for p_db in LATTICE]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["I", "II", "III"]), st.sampled_from([2, 4]),
+           st.lists(st.sampled_from(LATTICE), min_size=1, max_size=30))
+    def test_any_power_sequence_gives_each_points_record(self, scenario, M, p_dbs):
+        # unsorted, with repeats: each row of the pass is its own point
+        points = pep_points(*SCENARIOS[scenario].autocorrs(), p_dbs, M)
+        assert [record(pt) for pt in points] == [(p_db, *pep_one_point(scenario, p_db, M)) for p_db in p_dbs]
+
+    def test_grid_longer_than_a_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "exp_e1_scaled", recorded_e1(calls))
+        grid = tuple(round(-30.0 + 0.025 * i, 9) for i in range(3001))  # -30:0.025:45 dB
+        points = pep_points(*SCENARIOS["II"].autocorrs(), grid, 4)
+        # one call per block, none larger than a block of points times the nodes
+        assert len(calls) == math.ceil(len(grid) / analysis._PEP_BLOCK) > 1
+        assert max(c.size for c in calls) == analysis._PEP_BLOCK * NODES
+        assert [record(pt) for pt in points] == [(p_db, *pep_one_point("II", p_db, 4)) for p_db in grid]
+
+    def test_empty_grid(self):
+        assert pep_points(0.99, 0.98, (), 2) == []
+
+    def test_quadrature_failure_names_the_first_failing_point(self, monkeypatch):
+        alphas = SCENARIOS["I"].autocorrs()
+        # at 1e-12 only -30 dB fails: its orders differ by about 1e-11, the others' by below 3e-14
+        monkeypatch.setattr(analysis, "_QUAD_RTOL", 1e-12)
+        with pytest.raises(QuadratureError, match=r"did not converge at -30 dB: "):
+            pep_points(*alphas, (0.0, 20.0, -30.0, -20.0), 2)
+        monkeypatch.setattr(analysis, "_QUAD_RTOL", -1.0)
+        with pytest.raises(QuadratureError, match=r"did not converge at 12\.5 dB: "):
+            pep_points(*alphas, (12.5, 15.0), 2)
+        # pep alone has no power to name
+        with pytest.raises(QuadratureError, match=r"did not converge: "):
+            pep(PepParams.for_link(*alphas, 12.5, 2))
+
+    def test_first_failing_point_decides_the_error(self, monkeypatch):
+        alphas = SCENARIOS["I"].autocorrs()
+        monkeypatch.setattr(analysis, "_QUAD_RTOL", -1.0)
+        # the points before a rejected power are evaluated first, those after it never
+        with pytest.raises(QuadratureError, match="at 10 dB"):
+            pep_points(*alphas, (10.0, 2900.0), 2)
+        with pytest.raises(ValueError, match="total power 2900.0 dB"):
+            pep_points(*alphas, (2900.0, 10.0), 2)
+        # also across blocks: a failure in the first block comes before a rejection in the second
+        grid = (10.0,) * analysis._PEP_BLOCK + (2900.0,)
+        with pytest.raises(QuadratureError, match="at 10 dB"):
+            pep_points(*alphas, grid, 2)

@@ -180,6 +180,15 @@ class TestSweepCommand:
         assert rc == EXIT_NUMERIC
         assert "numeric failure:" in capsys.readouterr().err
 
+    def test_first_failing_point_decides_the_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "_QUAD_RTOL", -1.0)
+        argv = ["sweep", "--no-sim", "--scenario", "I", "--m", "2", "--scheme", "tvd", "--pdb"]
+        # 10 dB fails its quadrature before 2900 dB is rejected
+        assert main(argv + ["10:2890:2900"]) == EXIT_NUMERIC
+        assert "numeric failure: theta-quadrature did not converge at 10 dB: " in capsys.readouterr().err
+        assert main(argv + ["2900"]) == EXIT_USAGE
+        assert "error: total power 2900.0 dB" in capsys.readouterr().err
+
     def test_malformed_grid_exits_usage(self):
         assert main(["sweep", "--scenario", "I", "--pdb", "5:1", "--no-sim"]) == EXIT_USAGE
 

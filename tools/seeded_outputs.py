@@ -15,6 +15,8 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
   autocorrelation that run computed, so that a change of one last bit shows, which the
   printed five decimals hide;
 - `theory_<scenario>_m<M>.csv`: `sweep --no-sim --scheme all` on 0:0.5:60;
+- `theory_wide_<scenario>_m4.csv`: `sweep --no-sim --scheme tvd --m 4` on -30:0.125:80, 881 points,
+  more than one block of the analysis' quadrature pass, down to the lowest power the theory covers;
 - `chunk_<gen>_<cascade>.bin`: the raw bytes of one seeded simulation chunk (8 frames of
   1000 symbols, scenario III, M=4, 20 dB) for ar1/sos x exact/approx: the symbols, the fading
   and both observations, drawn from the simulation's own chunk stream (`montecarlo._chunk_rng`)
@@ -62,6 +64,9 @@ def commands(cfgdir: Path):
         for m in ORDERS:
             yield f"theory_{scn}_m{m}.csv", ["sweep", "--no-sim", "--scheme", "all", "--scenario", scn,
                                              "--m", str(m), "--pdb", "0:0.5:60"]
+    for scn in SCENARIOS:
+        yield f"theory_wide_{scn}_m4.csv", ["sweep", "--no-sim", "--scheme", "tvd", "--scenario", scn, "--m", "4",
+                                            "--pdb", "-30:0.125:80"]
 
 
 def recorded(fn, results: list):
