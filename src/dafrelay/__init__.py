@@ -11,7 +11,6 @@ from .analysis import (
     pep,
     pep_point,
     pep_points,
-    pep_upper_bound,
     ser_ber_from_pep,
 )
 from .channel import (
@@ -28,11 +27,10 @@ from .channel import (
     validate_stats,
 )
 from .link import Constellation, PowerAllocation, diff_encode, transmit
-from .montecarlo import BerEstimate, RunConfig, diversity_slope, run_point_schemes, run_sweep
+from .montecarlo import BerEstimate, RunConfig, run_point_schemes, run_sweep
 from .receiver import (
     CombinerWeights,
     Scheme,
-    detect,
     weights_cdd,
     weights_opt_genie,
     weights_tvd,

@@ -1,4 +1,4 @@
-"""Analytic error performance: SNR-like terms, PEP quadrature, bounds and floors.
+"""Analytic error performance: SNR-like terms, PEP quadrature and floors.
 
 The pairwise error probability is evaluated for the optimum-weight receiver:
 a finite quadrature over theta of the closed-form inner integral I1(theta),
@@ -25,7 +25,6 @@ __all__ = [
     "gamma_rd_high_snr",
     "i1_closed_form",
     "pep",
-    "pep_upper_bound",
     "error_floor",
     "ser_ber_from_pep",
     "pep_point",
@@ -182,12 +181,6 @@ def _pep_rows(params: list, p_dbs=None) -> list:
             f"theta-quadrature did not converge{where}: {float(v[i])!r} vs {float(v_ref[i])!r} at refinement"
         )
     return v_ref.tolist()
-
-
-def pep_upper_bound(params: PepParams) -> float:
-    """High-angle bound: I1(pi/2) / (2 + gamma_sd * d_min_sq)."""
-    i1 = float(i1_closed_form(np.pi / 2.0, params))
-    return i1 / (2.0 + gamma_sd(params) * params.d_min_sq)
 
 
 _FLOOR_BRANCH_TOL = 1e-9

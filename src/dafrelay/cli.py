@@ -19,6 +19,7 @@ from .channel import (
     seeded_rng,
     validate_stats,
 )
+from .link import SIMULATED_ORDERS
 from .montecarlo import RunConfig, run_sweep
 from .receiver import Scheme
 
@@ -29,7 +30,6 @@ EXIT_NUMERIC = 3
 
 _SPEED_OF_LIGHT = 3e8
 _MAX_GRID_POINTS = 10_001  # e.g. 0:0.01:100
-_M_CHOICES = (2, 4)  # constellation orders of --m and of the config key m
 
 
 def _write(path, text: str) -> None:
@@ -105,13 +105,16 @@ def _resolve_scenario(args_scenario, cfg: dict) -> Scenario:
 def _resolve_schemes(value: str) -> list[Scheme]:
     if value == "all":
         return list(Scheme)
-    return [_lookup(Scheme, "scheme", token.strip()) for token in value.split(",")]
+    schemes = [_lookup(Scheme, "scheme", token.strip()) for token in value.split(",")]
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"scheme list {value!r} names a scheme twice")
+    return schemes
 
 
 # sweep config key -> (RunConfig field, parser of its value); an absent key keeps RunConfig's default.
 # The other keys a sweep config accepts are "scenario", "schemes" and _SCENARIO_KEYS.
 _RUN_KEYS = {
-    "m": ("M", lambda value: _lookup({m: m for m in _M_CHOICES}, "m", int(value))),
+    "m": ("M", lambda value: _lookup({m: m for m in SIMULATED_ORDERS}, "m", int(value))),
     "p_db": ("p_db_grid", parse_grid),
     "seed": ("master_seed", int),
     "min_bit_errors": ("min_bit_errors", int),
@@ -210,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a BER power sweep (simulation + theory + floors)")
     p_sweep.add_argument("--config", help="flat key=value configuration file")
     p_sweep.add_argument("--scenario", choices=sorted(SCENARIOS), help="built-in scenario")
-    p_sweep.add_argument("--m", type=int, choices=_M_CHOICES, help="constellation order")
+    p_sweep.add_argument("--m", type=int, choices=SIMULATED_ORDERS, help="constellation order")
     p_sweep.add_argument("--scheme", help="cdd, tvd, opt, a comma list, or 'all'")
     p_sweep.add_argument("--pdb", help="power grid START:STEP:STOP in dB")
     p_sweep.add_argument("--seed", type=int, help="master seed")

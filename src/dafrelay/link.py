@@ -1,4 +1,4 @@
-"""Differential M-PSK modulation and the two-phase relay transmit chain."""
+"""Differential BPSK and QPSK, the M-PSK minimum distance and the two-phase relay transmit chain."""
 
 import operator
 from dataclasses import dataclass, field
@@ -10,6 +10,7 @@ from .channel import _crandn
 __all__ = [
     "Constellation",
     "PowerAllocation",
+    "SIMULATED_ORDERS",
     "diff_encode",
     "psk_d_min_sq",
     "transmit",
@@ -31,36 +32,30 @@ def psk_d_min_sq(M: int) -> float:
     return float(4.0 * np.sin(np.pi / M) ** 2)
 
 
+# the symbols of each simulated order, written out so that every bit is exact: -1j has real part -0.0
+_SYMBOLS = {2: (1, -1), 4: (1, 1j, -1, -1j)}
+SIMULATED_ORDERS = tuple(_SYMBOLS)
+
+
 @dataclass(frozen=True)
 class Constellation:
-    """M-PSK symbol set with binary-reflected Gray mapping.
+    """DBPSK or DQPSK symbol set with binary-reflected Gray mapping.
 
-    Symbol index m sits at angle 2*pi*m/M and carries the bit pattern
-    gray_of_index[m] = m ^ (m >> 1), so adjacent symbols differ in one bit.
+    Symbol index m sits at angle 2*pi*m/M and carries the bit pattern m ^ (m >> 1), so adjacent
+    symbols differ in one bit.  For M <= 4 that map is its own inverse, index_of_gray.
     """
 
     M: int
     symbols: np.ndarray = field(repr=False)
-    gray_of_index: np.ndarray = field(repr=False)
     index_of_gray: np.ndarray = field(repr=False)
 
     @classmethod
     def of(cls, M: int) -> "Constellation":
         _check_order(M)
-        m = np.arange(M)
-        symbols = np.exp(2j * np.pi * m / M)
-        # the reference point and any symbols on the axes are exact
-        symbols[0] = 1.0
-        if M % 4 == 0:
-            symbols[M // 4] = 1j
-            symbols[M // 2] = -1.0
-            symbols[3 * M // 4] = -1j
-        elif M == 2:
-            symbols[1] = -1.0
-        gray = m ^ (m >> 1)
-        inv = np.empty(M, dtype=np.min_scalar_type(M - 1))
-        inv[gray] = m
-        return cls(M, symbols, gray, inv)
+        if M not in _SYMBOLS:
+            raise ValueError(f"the simulator runs M in {SIMULATED_ORDERS}, got {M}")
+        m = np.arange(M, dtype=np.uint8)
+        return cls(M, np.array(_SYMBOLS[M], dtype=complex), m ^ (m >> 1))
 
     @property
     def bits_per_symbol(self) -> int:

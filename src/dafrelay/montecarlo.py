@@ -34,10 +34,10 @@ from .channel import (
     gen_fading,
     seeded_rng,
 )
-from .link import Constellation, PowerAllocation, diff_encode, transmit
+from .link import SIMULATED_ORDERS, Constellation, PowerAllocation, diff_encode, transmit
 from .receiver import Scheme
 
-__all__ = ["RunConfig", "BerEstimate", "run_point_schemes", "run_sweep", "diversity_slope"]
+__all__ = ["RunConfig", "BerEstimate", "run_point_schemes", "run_sweep"]
 
 # chunks computed at once by run_sweep: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -57,6 +57,8 @@ class RunConfig:
     frames_per_chunk: int = 32
 
     def __post_init__(self):
+        if self.M not in SIMULATED_ORDERS:
+            raise ValueError(f"M must be one of {SIMULATED_ORDERS}, got {self.M!r}")
         if not self.p_db_grid:
             raise ValueError("p_db_grid must be non-empty")
         if self.min_bit_errors < 50:
@@ -176,9 +178,12 @@ def _run_points(config: RunConfig, p_dbs, schemes) -> list[dict]:
 
     The (point, chunk) pairs run in point-major order, in rounds of W = _WORKERS: this thread
     computes the first chunk of a round and W - 1 helper threads the rest.  A round skips the
-    chunks of points that have already stopped.
+    chunks of points that have already stopped.  A repeated scheme raises ValueError: its counts
+    would be added once per repeat.
     """
     schemes = list(schemes)
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"repeated scheme in {[scheme.value for scheme in schemes]}")
     points = [_Point(config, p_db, schemes) for p_db in p_dbs]
     n_chunks = -(-(config.max_symbols // config.frame_len) // config.frames_per_chunk)
 
@@ -225,15 +230,3 @@ def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
     points = _run_points(config, config.p_db_grid, schemes)
     return [point[scheme] for scheme in schemes for point in points]
 
-
-def diversity_slope(estimates: list[BerEstimate], p_low_db: float, p_high_db: float) -> float:
-    """Per-decade log10-BER decay between two grid points (positive = falling)."""
-    by_p = {round(e.P_dB, 6): e for e in estimates}
-    try:
-        lo = by_p[round(p_low_db, 6)]
-        hi = by_p[round(p_high_db, 6)]
-    except KeyError as exc:
-        raise ValueError("both power levels must be on the estimate grid") from exc
-    if lo.ber <= 0 or hi.ber <= 0:
-        raise ValueError("diversity slope undefined for zero-error cells")
-    return float((np.log10(lo.ber) - np.log10(hi.ber)) / ((p_high_db - p_low_db) / 10.0))

@@ -1,4 +1,4 @@
-"""Combining-weight schemes, the linear two-branch combiner and min-ED detection."""
+"""Combining-weight schemes, the linear two-branch combiner and the DBPSK/DQPSK bit decisions."""
 
 from dataclasses import dataclass
 from enum import Enum
@@ -14,7 +14,6 @@ __all__ = [
     "weights_tvd",
     "weights_opt_genie",
     "diff_products",
-    "detect",
     "frame_bit_errors",
 ]
 
@@ -77,28 +76,15 @@ def diff_products(y_sd, y_rd):
     return tuple(np.conj(y[..., :-1]) * y[..., 1:] for y in (np.asarray(y_sd), np.asarray(y_rd)))
 
 
-def detect(zeta, constellation: Constellation):
-    """Minimum-Euclidean-distance detection over the PSK candidates.
-
-    Equivalent to argmax Re{conj(v_m) zeta} for unit-modulus candidates.
-    Ties break toward the smallest symbol index.
-    """
-    zeta = np.asarray(zeta)
-    scores = np.real(zeta[..., None] * np.conj(constellation.symbols))
-    return np.argmax(scores, axis=-1)
-
-
 def frame_bit_errors(zeta, data, constellation: Constellation):
-    """Bit errors per frame (last axis) of gray_of_index[detect(zeta)] against the sent patterns.
+    """Bit errors per frame (last axis) of the decisions on zeta against the sent Gray patterns `data`.
 
-    For M = 2 and 4 the decisions are exact comparisons on a = Re zeta, b = Im zeta that give the
-    argmax over (a, b, -a, -b), ties to the lowest index included: M = 2 decides a < 0, M = 4
-    Gray bit 1 is a < -b and bit 0 is a < b, or a == b < 0.
+    The decision is the symbol index m that maximizes Re{conj(v_m) zeta}, ties to the lowest index,
+    and it carries the pattern m ^ (m >> 1).  On a = Re zeta and b = Im zeta the scores of
+    (1, j, -1, -j) are (a, b, -a, -b), so the decisions are exact comparisons: M = 2 decides a < 0,
+    M = 4 Gray bit 1 is a < -b and bit 0 is a < b, or a == b < 0.
     """
     zeta = np.asarray(zeta)
-    if constellation.M > 4:
-        wrong = data ^ constellation.gray_of_index[detect(zeta, constellation)]
-        return sum(np.count_nonzero(wrong >> b & 1, axis=-1) for b in range(constellation.bits_per_symbol))
     # contiguous copies: comparisons on the strided .real/.imag views run several times slower
     a = np.ascontiguousarray(zeta.real)
     if constellation.M == 2:

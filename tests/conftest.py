@@ -16,6 +16,13 @@ class ZeroRng:
         return out
 
 
+def argmax_decisions(zeta, symbols):
+    """Reference decisions: the index m of the symbol v_m that maximizes Re{conj(v_m) zeta}, ties to the
+    lowest index.  For unit-modulus symbols this is the minimum-distance decision."""
+    zeta = np.asarray(zeta)
+    return np.argmax(np.real(zeta[..., None] * np.conj(symbols)), axis=-1)
+
+
 def record_acceptance(name: str, passed: bool, detail: str = ""):
     """Collect one acceptance-criterion verdict for the terminal summary."""
     suffix = f" ({detail})" if detail else ""

@@ -22,7 +22,6 @@ from dafrelay.analysis import (
     pep,
     pep_point,
     pep_points,
-    pep_upper_bound,
     ser_ber_from_pep,
 )
 from dafrelay.channel import SCENARIOS
@@ -165,12 +164,6 @@ class TestPep:
     def test_monotone_in_power(self):
         vals = [pep(params_for(0.01, 0.01, 0.001, p_db, 2)) for p_db in np.arange(0, 55, 5)]
         assert np.all(np.diff(vals) < 0)
-
-    def test_upper_bound_dominates(self):
-        for p_db in (0.0, 15.0, 30.0):
-            p = params_for(0.05, 0.05, 0.01, p_db, 2)
-            assert pep_upper_bound(p) >= pep(p)
-            assert pep_upper_bound(p) < 0.5
 
     def test_matches_independent_gauss_legendre_rule(self):
         # oracle: the order-128 rule built here, from nodes on (-1, 1) mapped to (0, pi/2)

@@ -103,3 +103,28 @@ def test_output_keeps_the_pairs_finished_before_a_crash(tmp_path, monkeypatch):
     entry = json.loads(out.read_text())["workloads"]["w"]["work_per_s"]
     assert entry["pairs"] == 1
     assert entry["parent"]["values"] == entry["change"]["values"] == [2.0]
+
+
+def test_steal_share_of_each_paired_run(tmp_path, monkeypatch):
+    # each stub run advances a fake /proc/stat by 80 user and 20 steal jiffies, a steal share of 0.2
+    stat = tmp_path / "stat"
+    stat.write_text("cpu  100 0 50 800 10 0 5 35 7 0\n")
+    advance = (f"import pathlib\np = pathlib.Path({str(stat)!r})\nv = p.read_text().split()\n"
+               "v[1] = str(int(v[1]) + 80)\nv[8] = str(int(v[8]) + 20)\np.write_text(' '.join(v))\n")
+    parent = stub_checkout(tmp_path / "parent", GOOD)
+    change = stub_checkout(tmp_path / "change", GOOD)
+    for checkout in (parent, change):
+        run = checkout / "perfbench" / "run.py"
+        run.write_text(advance + run.read_text())
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", stat)
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workloads", "w", "--pairs", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["steal_share"] == {"parent": [0.2] * 3, "change": [0.2] * 3}
+    assert entry["work_per_s"]["pairs"] == 3
+
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "absent")
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["steal_share"] == {"parent": [None] * 3, "change": [None] * 3}

@@ -154,9 +154,12 @@ class TestSweepCommand:
         assert capsys.readouterr().out.split("\n")[1].split(",")[1] == "custom"
 
     def test_unknown_scheme_exits_usage(self, capsys):
-        rc = main(["sweep", "--scenario", "I", "--scheme", "mrc", "--pdb", "10", "--no-sim"])
-        assert rc == EXIT_USAGE
-        assert "error" in capsys.readouterr().err
+        # a repeated scheme would print its row twice, and simulated, with its errors counted twice
+        for scheme in ("mrc", "tvd,tvd", "cdd,tvd,cdd"):
+            for no_sim in (["--no-sim"], []):
+                argv = ["sweep", "--scenario", "III", "--scheme", scheme, "--pdb", "10", "--seed", "1", *no_sim]
+                assert main(argv) == EXIT_USAGE
+                assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "extra",

@@ -12,37 +12,44 @@ from dafrelay.link import Constellation, PowerAllocation, diff_encode, psk_d_min
 
 class TestConstellation:
     def test_bpsk_points(self):
+        # the bits, signed zeros included, not only the values
         c = Constellation.of(2)
-        assert np.array_equal(c.symbols, np.array([1.0 + 0j, -1.0 + 0j]))
+        assert c.symbols.tobytes() == np.array([1.0 + 0.0j, complex(-1.0, 0.0)]).tobytes()
         assert psk_d_min_sq(2) == pytest.approx(4.0, abs=1e-15)
         assert c.bits_per_symbol == 1
 
     def test_qpsk_points(self):
+        # the bits: -j has real part -0.0
         c = Constellation.of(4)
-        assert np.array_equal(c.symbols, np.array([1.0, 1j, -1.0, -1j]))
+        expected = np.array([complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(-0.0, -1.0)])
+        assert c.symbols.tobytes() == expected.tobytes()
         assert psk_d_min_sq(4) == pytest.approx(2.0, abs=1e-15)
         assert c.bits_per_symbol == 2
 
     def test_gray_mapping_adjacent_symbols_differ_in_one_bit(self):
-        for M in (2, 4, 8):
+        for M in (2, 4):
             c = Constellation.of(M)
+            pattern = np.empty(M, dtype=int)
+            pattern[c.index_of_gray] = np.arange(M)  # the pattern that each symbol index carries
             for m in range(M):
-                a = c.gray_of_index[m]
-                b = c.gray_of_index[(m + 1) % M]
-                assert bin(a ^ b).count("1") == 1
+                assert bin(pattern[m] ^ pattern[(m + 1) % M]).count("1") == 1
 
     def test_gray_inverse(self):
-        for M in (2, 4, 8):
+        # the pattern of index m is m ^ (m >> 1), and index_of_gray inverts it
+        for M in (2, 4):
             c = Constellation.of(M)
-            assert np.array_equal(c.index_of_gray[c.gray_of_index], np.arange(M))
+            m = np.arange(M)
+            assert np.array_equal(c.index_of_gray[m ^ (m >> 1)], m)
+            assert np.array_equal(c.index_of_gray, m ^ (m >> 1))
+            assert c.index_of_gray.dtype == np.uint8
 
     def test_invalid_orders(self):
-        for M in (0, 1, 3, 6):
+        for M in (0, 1, 3, 6, 8):
             with pytest.raises(ValueError):
                 Constellation.of(M)
 
     def test_unit_modulus(self):
-        for M in (2, 4, 8, 16):
+        for M in (2, 4):
             c = Constellation.of(M)
             assert np.max(np.abs(np.abs(c.symbols) - 1.0)) < 1e-15
 

@@ -1,14 +1,13 @@
-"""Combining weights, the differential combiner and minimum-distance detection."""
+"""Combining weights, the differential combiner and the bit decisions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ZeroRng
+from conftest import ZeroRng, argmax_decisions
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
 from dafrelay.receiver import (
-    detect,
     diff_products,
     frame_bit_errors,
     weights_cdd,
@@ -118,19 +117,23 @@ class TestCombineDetect:
         assert zeta.shape == (2,)
 
     def test_detect_bpsk(self):
+        # one-symbol frames against the pattern 0: the errors are the decided patterns
         c = Constellation.of(2)
-        zeta = np.array([3.0 + 0.1j, -2.0 + 5.0j, 0.5 - 1.0j])
-        assert np.array_equal(detect(zeta, c), np.array([0, 1, 0]))
+        zeta = np.array([[3.0 + 0.1j], [-2.0 + 5.0j], [0.5 - 1.0j]])
+        assert frame_bit_errors(zeta, np.zeros((3, 1), dtype=np.uint8), c).tolist() == [0, 1, 0]
 
     def test_detect_qpsk_quadrants(self):
+        # symbol indices 0, 1, 2, 3 carry the Gray patterns 0, 1, 3, 2
         c = Constellation.of(4)
-        zeta = np.array([2.0, 3.0j, -1.5, -0.5j])
-        assert np.array_equal(detect(zeta, c), np.array([0, 1, 2, 3]))
+        zeta = np.array([[2.0], [3.0j], [-1.5], [-0.5j]])
+        assert frame_bit_errors(zeta, np.zeros((4, 1), dtype=np.uint8), c).tolist() == [0, 1, 2, 1]
+        assert frame_bit_errors(zeta, np.array([[0], [1], [3], [2]]), c).tolist() == [0, 0, 0, 0]
 
     def test_detect_tie_breaks_to_lowest_index(self):
-        c = Constellation.of(4)
-        # zeta = 0 gives all candidates the same score
-        assert detect(np.array([0.0 + 0.0j]), c)[0] == 0
+        # zeta = 0 gives all candidates the same score, so the decision is index 0, pattern 0
+        for M in (2, 4):
+            c = Constellation.of(M)
+            assert frame_bit_errors(np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=np.uint8), c)[0] == 0
 
     def test_noiseless_end_to_end_recovery(self):
         # static unit channels, no noise: any scheme recovers the data exactly
@@ -145,7 +148,7 @@ class TestCombineDetect:
             weights_tvd(1.0, 1.0, pa.P0, pa.A),
             weights_opt_genie(1.0, 1.0, pa.P0, pa.A, ones[:-1]),
         ):
-            detected = detect(w.apply(d_sd, d_rd), c)
+            detected = argmax_decisions(w.apply(d_sd, d_rd), c.symbols)
             assert np.array_equal(detected, data)
 
     def test_single_branch_suffices_noiselessly(self):
@@ -157,15 +160,15 @@ class TestCombineDetect:
         ones = np.ones(s.shape, dtype=complex)
         zeros = np.zeros(s.shape, dtype=complex)
         d_sd, d_rd = diff_products(*transmit(s, ones, zeros, zeros, pa, ZeroRng()))
-        detected = detect(weights_cdd(pa.A).apply(d_sd, d_rd), c)
-        assert np.array_equal(detected, data)
+        zeta = weights_cdd(pa.A).apply(d_sd, d_rd)
+        assert frame_bit_errors(zeta, data, c) == 0  # for M = 2 each Gray pattern is its symbol index
 
     def test_batched_combine_detect(self):
         c = Constellation.of(2)
         y = np.ones((4, 6), dtype=complex)
         zeta = weights_cdd(1.0).apply(*diff_products(y, y))
         assert zeta.shape == (4, 5)
-        assert detect(zeta, c).shape == (4, 5)
+        assert np.array_equal(frame_bit_errors(zeta, np.zeros((4, 5), dtype=np.uint8), c), np.zeros(4))
 
 
 # exact zeros of both signs and small integers, so that a == +-b ties and signed zeros come up often
@@ -191,19 +194,8 @@ class TestFrameBitErrors:
         # each symbol is a one-symbol frame; its errors against every possible pattern d are
         # popcount(d ^ decision), which pins the decision down
         c = Constellation.of(M)
-        expected = c.gray_of_index[detect(zeta, c)]
+        m = argmax_decisions(zeta, c.symbols)
+        expected = m ^ (m >> 1)
         for d in range(M):
             errors = frame_bit_errors(zeta[:, None], np.full((zeta.size, 1), d), c)
             assert errors.tolist() == [bin(d ^ int(g)).count("1") for g in expected]
-
-    def test_orders_above_256(self):
-        # Gray patterns of M = 512 reach 511, so the xor of pattern and decision has 9 bit planes
-        c = Constellation.of(512)
-        rng = np.random.default_rng(12)
-        zeta = c.symbols[rng.integers(0, 512, (3, 4))] * (1.0 + 0.01j)
-        data = np.array([[511, 0, 256, 300], [1, 510, 255, 128], [257, 384, 2, 449]])
-        decisions = c.gray_of_index[detect(zeta, c)]
-        expected = [sum(bin(int(d) ^ int(g)).count("1") for d, g in zip(row_d, row_g))
-                    for row_d, row_g in zip(data, decisions)]
-        assert max(expected) > 8
-        assert frame_bit_errors(zeta, data, c).tolist() == expected

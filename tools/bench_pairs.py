@@ -16,9 +16,13 @@ seeds are `seed_base + i`.  Each checkout's `perfbench/run.py` runs for its own
 The output JSON holds the environment block of the first run, the seeds and for
 every workload and metric: the values of each side, their median and quartiles,
 the median ratio change/parent, and `change_wins`, the number of pairs in which the
-change is strictly better.  A run that fails, prints no result line, prints a last line
-that is not a JSON object, reports `correct: false` or lacks a numeric value of an `end_to_end`
-metric is listed under `failures`, and its pair is left out of the statistics of both sides, so
+change is strictly better.  Beside the metrics of each workload, `steal_share` lists for
+each side the share of the host's CPU time that the hypervisor stole during each paired
+run, in the order of the metrics' values: the steal jiffies over all jiffies of the `cpu`
+line of /proc/stat, read before and after the run, or null where /proc/stat cannot be
+read.  A run that fails, prints no result line, prints a last line that is not a JSON
+object, reports `correct: false` or lacks a numeric value of an `end_to_end` metric is
+listed under `failures`, and its pair is left out of the statistics of both sides, so
 every summary is taken over the same seeds.  The output is rewritten after every pair, so an
 interrupted run keeps the pairs it finished.
 """
@@ -31,6 +35,28 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PROC_STAT = Path("/proc/stat")
+
+
+def cpu_jiffies():
+    """(steal, total) jiffies of all CPUs since boot, or None where /proc/stat cannot be read.
+
+    The total sums user, nice, system, idle, iowait, irq, softirq and steal; guest time is
+    already counted in user and nice.
+    """
+    try:
+        with PROC_STAT.open() as fh:
+            fields = [int(v) for v in fh.readline().split()[1:9]]
+    except OSError:
+        return None
+    return fields[7], sum(fields)
+
+
+def steal_share(before, after):
+    """Steal jiffies over all jiffies between two `cpu_jiffies` readings, or None without both or a jiffy between."""
+    if before is None or after is None or after[1] == before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
 
 
 def run_once(checkout: Path, workload: str, seed: int, names=()):
@@ -113,11 +139,14 @@ def main(argv=None) -> int:
     first = next(iter(metrics))  # the metric the progress line shows
     for workload in args.workloads:
         paired = []  # (parent metrics, change metrics) of the pairs where both sides ran
+        steal = []  # (parent steal share, change steal share) of the same pairs
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            got = {}
+            got, shares = {}, {}
             for side in order:
+                before = cpu_jiffies()
                 result, detail = run_once(checkouts[side], workload, seed, metrics)
+                shares[side] = steal_share(before, cpu_jiffies())
                 if result is None:
                     out["failures"].append({"workload": workload, "seed": seed, "side": side, "reason": detail})
                     continue
@@ -125,11 +154,14 @@ def main(argv=None) -> int:
                 got[side] = result
             if len(got) == 2:
                 paired.append((got["parent"], got["change"]))
+                steal.append((shares["parent"], shares["change"]))
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
                   + ", ".join(f"{s} {first}={got[s][first]:.4g}" for s in SIDES if s in got),
                   file=sys.stderr)
             # written after every pair, so that an interrupted run keeps the pairs it finished
-            out["workloads"][workload] = report(metrics, paired)
+            out["workloads"][workload] = {**report(metrics, paired),
+                                          "steal_share": {side: [pair[k] for pair in steal]
+                                                          for k, side in enumerate(SIDES)}}
             args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 1 if out["failures"] else 0
 
