@@ -111,6 +111,14 @@ def _resolve_schemes(value: str) -> list[Scheme]:
     return schemes
 
 
+def _parse_max_symbols(value: str) -> int:
+    """A symbol budget such as 1e6; int() of an infinite float would raise OverflowError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"max_symbols must be finite, got {value!r}")
+    return int(number)
+
+
 # sweep config key -> (RunConfig field, parser of its value); an absent key keeps RunConfig's default.
 # The other keys a sweep config accepts are "scenario", "schemes" and _SCENARIO_KEYS.
 _RUN_KEYS = {
@@ -118,7 +126,7 @@ _RUN_KEYS = {
     "p_db": ("p_db_grid", parse_grid),
     "seed": ("master_seed", int),
     "min_bit_errors": ("min_bit_errors", int),
-    "max_symbols": ("max_symbols", lambda value: int(float(value))),
+    "max_symbols": ("max_symbols", _parse_max_symbols),
     "frame_len": ("frame_len", int),
     "generator": ("generator", lambda value: _lookup(FadingGenerator, "generator", value)),
     "cascaded": ("cascaded_model", lambda value: _lookup(CascadedModelKind, "cascaded", value)),

@@ -8,18 +8,19 @@ clouded by independent sampling noise.
 Each chunk of frames has its own stream, keyed by (seed, power, M, chunk index),
 so the chunks of a whole sweep, across all its points, share one schedule: the
 (point, chunk) pairs run in point-major order, in rounds of W, one per usable
-CPU (`taskset` limits W), and a round skips the chunks of points that have
-stopped.  Each point adds its counts in chunk order, checks the stopping rule
-before each add and discards the chunks computed past its stop: results do not
-depend on W, and a point that stops on its error count wastes at most W - 1
-chunks.  The numpy draws, `lfilter`, the ufuncs and BLAS release the GIL, so
-threads give a real speed-up.  The thread pool is made once per sweep, since
-threads do not survive a `fork`; it starts no thread for a one-chunk sweep.
+CPU (`taskset` limits W).  The calling thread computes the first chunk of a
+round and W - 1 helper threads the rest, and a round skips the chunks of points
+that have stopped.  Each point adds its counts in chunk order, checks the
+stopping rule before each add and discards the chunks computed past its stop:
+results do not depend on W, and a point that stops on its error count wastes at
+most W - 1 chunks.  The numpy draws, `lfilter`, the ufuncs and BLAS release the
+GIL, so threads give a real speed-up.  The thread pool is made once per sweep,
+since threads do not survive a `fork`; it starts no thread for a one-chunk sweep.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -100,23 +101,14 @@ def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Conste
     """
     spec_sd, spec_sr, spec_rd = specs
     L = config.frame_len
-    # the sent Gray patterns, drawn in the smallest integer type that holds them
-    data = rng.integers(0, const.M, (n_frames, L), dtype=np.min_scalar_type(const.M - 1))
+    # the sent Gray patterns, one byte each
+    data = rng.integers(0, const.M, (n_frames, L), dtype=np.uint8)
     s = diff_encode(const.index_of_gray[data], const)  # Gray bit patterns -> symbol indices
 
     h_sd = gen_fading(spec_sd, L + 1, rng, n_frames)
     h, h_rd = gen_cascaded(spec_sr, spec_rd, config.cascaded_model, L + 1, rng, n_frames)
     y_sd, y_rd = transmit(s, h_sd, h, h_rd, pa, rng)
     return data, y_sd, y_rd, h_rd
-
-
-def _scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, pa: PowerAllocation, h_rd):
-    if scheme is Scheme.CDD:
-        return receiver.weights_cdd(pa.A)
-    if scheme is Scheme.TVD:
-        return receiver.weights_tvd(alpha_sd, alpha, pa.P0, pa.A)
-    # genie weights track the gain entering the previous relayed observation
-    return receiver.weights_opt_genie(alpha_sd, alpha, pa.P0, pa.A, h_rd[:, :-1])
 
 
 class _Point:
@@ -146,7 +138,7 @@ class _Point:
         alpha_sd, alpha = self.alphas
         counts = []
         for scheme in self.schemes:
-            zeta = _scheme_weights(scheme, alpha_sd, alpha, self.pa, h_rd).apply(d_sd, d_rd)
+            zeta = receiver.scheme_weights(scheme, alpha_sd, alpha, self.pa.P0, self.pa.A, h_rd).apply(d_sd, d_rd)
             counts.append(int(receiver.frame_bit_errors(zeta, data, self.const).sum()))
         return counts
 
@@ -173,18 +165,18 @@ class _Point:
         return out
 
 
-def _run_points(config: RunConfig, p_dbs, schemes) -> list[dict]:
-    """{scheme: BerEstimate} of each power point, its chunks scheduled over the whole sweep.
+def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
+    """Every point of config.p_db_grid over the sweep's one chunk schedule; deterministic given master_seed.
 
-    The (point, chunk) pairs run in point-major order, in rounds of W = _WORKERS: this thread
-    computes the first chunk of a round and W - 1 helper threads the rest.  A round skips the
-    chunks of points that have already stopped.  A repeated scheme raises ValueError: its counts
-    would be added once per repeat.
+    Each point runs until every scheme has min_bit_errors or its budget of max_symbols // frame_len
+    whole frames is spent.  A repeated scheme raises ValueError: its counts would be added once per
+    repeat.  Returns a flat list in scheme-major order: every point of the first scheme, then every
+    point of the next.
     """
     schemes = list(schemes)
     if len(set(schemes)) < len(schemes):
         raise ValueError(f"repeated scheme in {[scheme.value for scheme in schemes]}")
-    points = [_Point(config, p_db, schemes) for p_db in p_dbs]
+    points = [_Point(config, p_db, schemes) for p_db in config.p_db_grid]
     n_chunks = -(-(config.max_symbols // config.frame_len) // config.frames_per_chunk)
 
     def pending():
@@ -203,30 +195,10 @@ def _run_points(config: RunConfig, p_dbs, schemes) -> list[dict]:
             counts = [first.chunk_errors(i)] + [f.result() for f in futures]
             for (point, j), chunk in zip(round_, counts):
                 point.add(j, chunk)
-    return [point.estimates() for point in points]
+    estimates = [point.estimates() for point in points]
+    return [by_scheme[scheme] for scheme in schemes for by_scheme in estimates]
 
 
 def run_point_schemes(config: RunConfig, p_db: float, schemes) -> dict:
-    """Simulate one power level for several schemes over shared channel draws.
-
-    Runs until every scheme has min_bit_errors or the symbol budget of
-    max_symbols // frame_len whole frames is spent.  Returns {scheme: BerEstimate}.
-    This is the one-point case of run_sweep's chunk schedule.
-    """
-    return _run_points(config, [p_db], schemes)[0]
-
-
-def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
-    """Every point of config.p_db_grid, as run_point_schemes gives it; deterministic given master_seed.
-
-    The chunks of all points share one schedule: they run in point-major order, in rounds of
-    W = _WORKERS, one per usable CPU.  Each point adds its counts in chunk order and checks the
-    stopping rule before each add, and chunks computed past its stop are discarded, so every
-    result equals a serial run's for any W; a point that stops on its error count wastes at most
-    W - 1 chunks.  Returns a flat list in scheme-major order: every point of the first scheme,
-    then every point of the next.
-    """
-    schemes = list(schemes)
-    points = _run_points(config, config.p_db_grid, schemes)
-    return [point[scheme] for scheme in schemes for point in points]
-
+    """{scheme: BerEstimate} of one power level: run_sweep over the one-point grid (p_db,)."""
+    return {e.scheme: e for e in run_sweep(replace(config, p_db_grid=(p_db,)), schemes)}

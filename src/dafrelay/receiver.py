@@ -13,6 +13,7 @@ __all__ = [
     "weights_cdd",
     "weights_tvd",
     "weights_opt_genie",
+    "scheme_weights",
     "diff_products",
     "frame_bit_errors",
 ]
@@ -69,6 +70,18 @@ def weights_opt_genie(alpha_sd: float, alpha: float, P0: float, A: float, h_rd_s
     to weight a whole sequence of decisions.
     """
     return _mrc_weights(alpha_sd, alpha, P0, A, (np.abs(np.asarray(h_rd_sample)) ** 2)[()])
+
+
+def scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, P0: float, A: float, h_rd) -> CombinerWeights:
+    """The weights of `scheme` for the decisions of frames whose relay-destination gains are the rows of h_rd.
+
+    The decision on symbols (k, k+1) of a frame of L+1 gains takes the genie weight at h_rd[:, k].
+    """
+    if scheme is Scheme.CDD:
+        return weights_cdd(A)
+    if scheme is Scheme.TVD:
+        return weights_tvd(alpha_sd, alpha, P0, A)
+    return weights_opt_genie(alpha_sd, alpha, P0, A, h_rd[:, :-1])
 
 
 def diff_products(y_sd, y_rd):

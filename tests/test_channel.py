@@ -77,15 +77,14 @@ class TestSingleLinkGenerators:
             assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_zero_doppler_is_constant(self):
-        h = gen_fading(FadingSpec(0.0), 1000, rng_for(1))
+        h = gen_fading(FadingSpec(0.0), 1000, rng_for(1), 1)[0]
         assert np.all(h == h[0])
 
     def test_shapes(self):
         spec = FadingSpec(0.01)
-        assert gen_fading(spec, 50, rng_for(2)).shape == (50,)
         assert gen_fading(spec, 50, rng_for(2), realizations=7).shape == (7, 50)
         with pytest.raises(ValueError):
-            gen_fading(spec, 0, rng_for(2))
+            gen_fading(spec, 0, rng_for(2), 7)
 
     def test_determinism(self):
         for gen in FadingGenerator:
@@ -97,7 +96,7 @@ class TestSingleLinkGenerators:
     @pytest.mark.parametrize(
         "f, length, realizations",
         # f = 0 gives a = 1 with zero innovations; length 1 draws no innovations at all
-        [(0.05, 1001, 64), (0.05, 1, 3), (0.0, 50, 4), (0.01, 30, None)],
+        [(0.05, 1001, 64), (0.05, 1, 3), (0.0, 50, 4), (0.01, 30, 1)],
     )
     def test_ar1_matches_symbol_loop(self, f, length, realizations):
         # oracle: h[k] = a*h[k-1] + x[k-1] as a plain loop over the same draws: h[0], then the innovations
@@ -105,14 +104,13 @@ class TestSingleLinkGenerators:
         spec = FadingSpec(f, generator=FadingGenerator.AR1)
         rng, ref_rng = rng_for(24), rng_for(24)
         h = gen_fading(spec, length, rng, realizations)
-        n = 1 if realizations is None else realizations
         a = autocorr(spec)
-        ref = np.empty((n, length), dtype=complex)
-        ref[:, 0] = _crandn(ref_rng, n)
-        x = _crandn(ref_rng, (n, length - 1), np.sqrt(1.0 - a * a))
+        ref = np.empty((realizations, length), dtype=complex)
+        ref[:, 0] = _crandn(ref_rng, realizations)
+        x = _crandn(ref_rng, (realizations, length - 1), np.sqrt(1.0 - a * a))
         for k in range(1, length):
             ref[:, k] = a * ref[:, k - 1] + x[:, k - 1]
-        assert np.array_equal(h, ref[0] if realizations is None else ref)
+        assert np.array_equal(h, ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     @pytest.mark.parametrize("length", [10, 1001])  # stepped by column, and lfilter on the float view
@@ -174,7 +172,7 @@ class TestSingleLinkGenerators:
     @pytest.mark.parametrize(
         "length, realizations, f",
         # (100001, 2): its 316 block rows are split into several gemm groups
-        [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, None, 0.05), (100001, 2, 0.05)],
+        [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, 1, 0.05), (100001, 2, 0.05)],
     )
     def test_sos_matches_cosine_sum(self, length, realizations, f):
         # oracle: the classical improved-Jakes form, one cos per sinusoid and sample,
@@ -183,17 +181,14 @@ class TestSingleLinkGenerators:
         rng = rng_for(17)
         h = gen_fading(spec, length, rng, realizations)
         ref_rng = rng_for(17)
-        n_real = 1 if realizations is None else realizations
-        theta = ref_rng.uniform(-np.pi, np.pi, (n_real, 1))
-        phi = ref_rng.uniform(-np.pi, np.pi, (n_real, _N_SINUSOIDS, 1))
-        psi = ref_rng.uniform(-np.pi, np.pi, (n_real, _N_SINUSOIDS, 1))
+        theta = ref_rng.uniform(-np.pi, np.pi, (realizations, 1))
+        phi = ref_rng.uniform(-np.pi, np.pi, (realizations, _N_SINUSOIDS, 1))
+        psi = ref_rng.uniform(-np.pi, np.pi, (realizations, _N_SINUSOIDS, 1))
         alpha_n = (2 * np.pi * np.arange(1, _N_SINUSOIDS + 1) - np.pi + theta) / (4 * _N_SINUSOIDS)
         wk = 2 * np.pi * f * np.arange(length)
         hc = np.cos(np.cos(alpha_n)[:, :, None] * wk + phi).sum(axis=1)
         hs = np.cos(np.sin(alpha_n)[:, :, None] * wk + psi).sum(axis=1)
         ref = (hc + 1j * hs) / np.sqrt(_N_SINUSOIDS)
-        if realizations is None:
-            ref = ref[0]
         assert h.shape == ref.shape
         np.testing.assert_allclose(h, ref, rtol=0, atol=1e-10)
         assert rng.standard_normal() == ref_rng.standard_normal()
@@ -258,14 +253,7 @@ class TestCascadedChannel:
         delta = h[:, 1:] - alpha * h[:, :-1]
         assert np.mean(np.abs(delta) ** 2) == pytest.approx(1.0 - alpha**2, abs=0.01)
 
-    def test_1d_output_without_realizations(self):
-        h, h_rd = gen_cascaded(
-            FadingSpec(0.01), FadingSpec(0.001), CascadedModelKind.APPROXIMATE, 30, rng_for(11)
-        )
-        assert h.shape == (30,)
-        assert h_rd.shape == (30,)
-
-    @pytest.mark.parametrize("length, realizations", [(1001, 64), (10, 1000), (30, None)])
+    @pytest.mark.parametrize("length, realizations", [(1001, 64), (10, 1000), (30, 1)])
     def test_approximate_matches_symbol_loop(self, length, realizations):
         # oracle: the one-term recursion as a plain loop over the same draws
         # (h_rd, then the initial CN(0,1) factor, then the innovations sqrt(1-a^2)*e_sr, drawn at that scale)
@@ -275,16 +263,13 @@ class TestCascadedChannel:
             spec_sr, spec_rd, CascadedModelKind.APPROXIMATE, length, rng_for(16), realizations
         )
         rng = rng_for(16)
-        n = 1 if realizations is None else realizations
-        ref_rd = gen_fading(spec_rd, length, rng, n)
+        ref_rd = gen_fading(spec_rd, length, rng, realizations)
         a = autocorr(spec_sr) * autocorr(spec_rd)
-        ref = np.empty((n, length), dtype=complex)
-        ref[:, 0] = _crandn(rng, n) * ref_rd[:, 0]
-        e_sr = _crandn(rng, (n, length - 1), np.sqrt(1.0 - a * a))
+        ref = np.empty((realizations, length), dtype=complex)
+        ref[:, 0] = _crandn(rng, realizations) * ref_rd[:, 0]
+        e_sr = _crandn(rng, (realizations, length - 1), np.sqrt(1.0 - a * a))
         for k in range(1, length):
             ref[:, k] = a * ref[:, k - 1] + e_sr[:, k - 1] * ref_rd[:, k - 1]
-        if realizations is None:
-            ref, ref_rd = ref[0], ref_rd[0]
         assert np.array_equal(h_rd, ref_rd)
         assert np.array_equal(h, ref)
 
@@ -421,7 +406,8 @@ class TestValidateStats:
     def test_matches_two_pass_definitions(self, shape, shift):
         # oracle: the mean, then E|h - mean|^2 and Re E[h[k] conj(h[k-1])] within rows over it, and the
         # envelope density, from full-size arrays; the shifted input has a mean about 10 sd from zero
-        h = gen_fading(FadingSpec(0.02), shape[-1], rng_for(17), None if len(shape) == 1 else shape[0])
+        # a 1-D input is the one row of a one-realization draw
+        h = gen_fading(FadingSpec(0.02), shape[-1], rng_for(17), 1 if len(shape) == 1 else shape[0]).reshape(shape)
         if shift:
             h = 0.1 * h + shift * 0.1 * (0.6 + 0.8j)
         st = validate_stats(h)

@@ -164,7 +164,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "extra",
         ["generator = foo", "cascaded = foo", "min_bit_error = 60", "f_sd = 0.3\nf_sr = 0.3\nf_rd = 0.3", "m = 8",
-         "m = 512"],
+         "m = 512", "max_symbols = inf", "max_symbols = 1e400"],
     )
     def test_bad_config_entry_exits_usage(self, tmp_path, capsys, extra):
         cfg = write_cfg(tmp_path, extra)

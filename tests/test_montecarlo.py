@@ -25,8 +25,8 @@ from dafrelay.montecarlo import (
     run_sweep,
 )
 from dafrelay.link import Constellation, PowerAllocation
-from dafrelay.montecarlo import _chunk_rng, _generate_chunk, _scheme_weights
-from dafrelay.receiver import Scheme, diff_products, frame_bit_errors
+from dafrelay.montecarlo import _chunk_rng, _generate_chunk
+from dafrelay.receiver import Scheme, diff_products, frame_bit_errors, scheme_weights
 
 FAST = dict(
     min_bit_errors=50,
@@ -423,7 +423,7 @@ def test_frame_errors_match_combine_detect(M, cascade):
         data, y_sd, y_rd, h_rd = _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 12.0, chunk_index), 16)
         d_sd, d_rd = diff_products(y_sd, y_rd)
         for scheme in Scheme:
-            w = _scheme_weights(scheme, alpha_sd, alpha, pa, h_rd)
+            w = scheme_weights(scheme, alpha_sd, alpha, pa.P0, pa.A, h_rd)
             zeta = w.b0 * (np.conj(y_sd[:, :-1]) * y_sd[:, 1:]) + w.b1 * (np.conj(y_rd[:, :-1]) * y_rd[:, 1:])
             m = argmax_decisions(zeta, const.symbols)
             ref = popcount[data ^ (m ^ (m >> 1))].sum(axis=1)

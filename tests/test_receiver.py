@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from conftest import ZeroRng, argmax_decisions
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
 from dafrelay.receiver import (
+    Scheme,
     diff_products,
     frame_bit_errors,
+    scheme_weights,
     weights_cdd,
     weights_opt_genie,
     weights_tvd,
@@ -104,6 +106,28 @@ class TestGenieWeights:
         genie_b1 = weights_opt_genie(0.999, alpha, P0, A, np.sqrt(nodes)).b1
         mean_noise = np.sum(wts * alpha / genie_b1)
         assert mean_noise == pytest.approx(alpha / weights_tvd(0.999, alpha, P0, A).b1, rel=1e-14)
+
+
+class TestSchemeWeights:
+    # frames of L+1 = 4 gains, whose magnitudes differ from column to column
+    H_RD = np.array([[0.3 + 0.4j, 1.0, 2.0j, -1.5], [0.2, -0.7j, 1.1 + 1.1j, 0.05]])
+
+    def test_genie_takes_the_gain_before_each_decision(self):
+        # the decision on symbols (k, k+1) takes the weight at eta = |h_rd[:, k]|^2, the gain entering
+        # the previous relayed observation: each branch's autocorrelation over its equivalent-noise variance
+        alpha_sd, alpha, P0, A = 0.999, 0.99, 5.0, 0.8
+        w = scheme_weights(Scheme.OPT_GENIE, alpha_sd, alpha, P0, A, self.H_RD)
+        eta = np.abs(self.H_RD[:, :3]) ** 2
+        b1 = alpha / ((1 + alpha**2) * (1 + A * A * eta) + (1 - alpha**2) * A * A * P0 * eta)
+        assert np.shape(w.b1) == (2, 3)
+        np.testing.assert_allclose(w.b1, b1, rtol=1e-14, atol=0)
+        assert w.b0 == pytest.approx(alpha_sd / (1 + alpha_sd**2 + (1 - alpha_sd**2) * P0), rel=1e-14)
+
+    @pytest.mark.parametrize("h_rd", [H_RD, 10.0 * H_RD, np.zeros((1, 7))])
+    def test_cdd_and_tvd_ignore_the_gains(self, h_rd):
+        alpha_sd, alpha, P0, A = 0.999, 0.99, 5.0, 0.8
+        assert scheme_weights(Scheme.CDD, alpha_sd, alpha, P0, A, h_rd) == weights_cdd(A)
+        assert scheme_weights(Scheme.TVD, alpha_sd, alpha, P0, A, h_rd) == weights_tvd(alpha_sd, alpha, P0, A)
 
 
 class TestCombineDetect:

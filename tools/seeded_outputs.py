@@ -18,10 +18,10 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
 - `theory_wide_<scenario>_m4.csv`: `sweep --no-sim --scheme tvd --m 4` on -30:0.125:80, 881 points,
   more than one block of the analysis' quadrature pass, down to the lowest power the theory covers;
 - `chunk_<gen>_<cascade>.bin`: the raw bytes of one seeded simulation chunk (8 frames of
-  1000 symbols, scenario III, M=4, 20 dB) for ar1/sos x exact/approx: the symbols, the fading
-  and both observations, drawn from the simulation's own chunk stream (`montecarlo._chunk_rng`)
-  and built by `gen_fading`, `gen_cascaded`, `diff_encode` and `transmit`, so that a change of
-  one last bit shows, which the printed BERs hide;
+  1000 symbols, scenario III, M=4, 20 dB) for ar1/sos x exact/approx: the data, both
+  observations and h_rd that the simulator's `montecarlo._generate_chunk` returns on its own
+  chunk stream (`montecarlo._chunk_rng`), so that a change of one last bit shows, which the
+  printed BERs hide; h_sd and the cascade show through the observations;
 - `SHA256SUMS`, one `sha256sum`-format line per output, sorted by name.
 
 To check a change, run this file from the parent checkout and from the change
@@ -34,8 +34,6 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-import numpy as np  # noqa: E402
 
 from dafrelay import channel, cli, link, montecarlo  # noqa: E402
 from dafrelay.cli import main as dafrelay_main  # noqa: E402
@@ -86,22 +84,17 @@ def validate_raw(stats) -> bytes:
 
 
 def chunks():
-    """(output name, raw bytes) of one seeded chunk per generator and cascade model."""
+    """(output name, raw bytes) of one seeded simulation chunk per generator and cascade model."""
     scn = channel.SCENARIOS["III"]
     const = link.Constellation.of(4)
     power = link.PowerAllocation.equal_from_total_db(20.0)
-    config = montecarlo.RunConfig(scn, M=const.M, master_seed=5)
-    n_frames, frame_len = 8, 1000
     for i, gen in enumerate(channel.FadingGenerator):
-        spec_sd, spec_sr, spec_rd = (channel.FadingSpec(f, generator=gen) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+        specs = tuple(channel.FadingSpec(f, generator=gen) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
         for j, cascade in enumerate(channel.CascadedModelKind):
+            config = montecarlo.RunConfig(scn, M=const.M, frame_len=1000, master_seed=5, generator=gen,
+                                          cascaded_model=cascade)
             rng = montecarlo._chunk_rng(config, 20.0, 2 * i + j)
-            data = rng.integers(0, const.M, (n_frames, frame_len), dtype=np.min_scalar_type(const.M - 1))
-            s = link.diff_encode(data, const)
-            h_sd = channel.gen_fading(spec_sd, frame_len + 1, rng, n_frames)
-            h, h_rd = channel.gen_cascaded(spec_sr, spec_rd, cascade, frame_len + 1, rng, n_frames)
-            y_sd, y_rd = link.transmit(s, h_sd, h, h_rd, power, rng)
-            arrays = (s, h_sd, h, h_rd, y_sd, y_rd)
+            arrays = montecarlo._generate_chunk(config, specs, power, const, rng, 8)
             yield f"chunk_{gen.value}_{cascade.value}.bin", b"".join(a.tobytes() for a in arrays)
 
 
