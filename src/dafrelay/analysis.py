@@ -50,7 +50,7 @@ class PepParams:
         if self.P0 <= 0 or self.A <= 0 or self.d_min_sq <= 0:
             raise ValueError("P0, A and d_min_sq must be positive")
         if not (0.0 < self.alpha_sd <= 1.0 and 0.0 < self.alpha <= 1.0):
-            raise ValueError("autocorrelations must be in (0, 1]")
+            raise ValueError(f"autocorrelations must be in (0, 1]: alpha_sd={self.alpha_sd:g}, alpha={self.alpha:g}")
 
     @classmethod
     def for_link(cls, alpha_sd: float, alpha: float, p_db: float, M: int) -> "PepParams":
@@ -227,26 +227,21 @@ def ser_ber_from_pep(pep_value: float, M: int) -> tuple[float, float]:
 def pep_points(alpha_sd: float, alpha: float, p_dbs, M: int) -> list[PepPoint]:
     """Full analytic records (PEP, SER, BER, floor) of a sequence of total powers p_dbs (dB).
 
-    The quadrature runs once per block of _PEP_BLOCK points, each point with the bits of
-    `pep_point`; the floor does not depend on the power and is computed once.  The first point
-    in grid order that fails, by a ValueError of its parameters or a QuadratureError, decides
-    the error.
+    Every point's parameters are built first, up to the first power rejected by a ValueError; that
+    error is raised after the quadrature of the points before it, one pass per block of _PEP_BLOCK
+    points with the bits of `pep_point`, so the first failing point in grid order decides the error.
     """
-    peps = []
-    for start in range(0, len(p_dbs), _PEP_BLOCK):
-        block = p_dbs[start:start + _PEP_BLOCK]
-        params = []
-        try:
-            for p_db in block:
-                params.append(PepParams.for_link(alpha_sd, alpha, p_db, M))
-        except ValueError:
-            if params:
-                _pep_rows(params, block)  # a failure at an earlier point comes first
-            raise
-        peps += _pep_rows(params, block)
-    if not peps:
-        return []
-    floor = error_floor(params[0])
+    params, rejected = [], None
+    try:
+        for p_db in p_dbs:
+            params.append(PepParams.for_link(alpha_sd, alpha, p_db, M))
+    except ValueError as exc:
+        rejected = exc
+    peps = [v for i in range(0, len(params), _PEP_BLOCK)
+            for v in _pep_rows(params[i:i + _PEP_BLOCK], p_dbs[i:i + _PEP_BLOCK])]
+    if rejected is not None:
+        raise rejected
+    floor = error_floor(params[0]) if params else None  # the same at every power
     return [PepPoint(p_db, p, *ser_ber_from_pep(p, M), floor) for p_db, p in zip(p_dbs, peps)]
 
 

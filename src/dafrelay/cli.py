@@ -20,7 +20,7 @@ from .channel import (
     validate_stats,
 )
 from .link import SIMULATED_ORDERS
-from .montecarlo import RunConfig, run_sweep
+from .montecarlo import RunConfig, run_sweep, seed_word
 from .receiver import Scheme
 
 CSV_HEADER = "p_db,scenario,scheme,m,ber_sim,ci95,ber_theory,ber_floor,truncated"
@@ -184,7 +184,7 @@ def cmd_validate_channel(args) -> int:
     )
     results = {}
     for stream, kind in enumerate(CascadedModelKind, 1):
-        h = gen_cascaded(spec_sr, spec_rd, kind, frame_len, seeded_rng([int(args.seed), stream]),
+        h = gen_cascaded(spec_sr, spec_rd, kind, frame_len, seeded_rng([seed_word(args.seed), stream]),
                          realizations=n_frames)[0]
         st = results[kind] = validate_stats(h)
         stat, p = envelope_chi_square(h[:, -1])
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", type=int, choices=SIMULATED_ORDERS, help="constellation order")
     p_sweep.add_argument("--scheme", help="cdd, tvd, opt, a comma list, or 'all'")
     p_sweep.add_argument("--pdb", help="power grid START:STEP:STOP in dB")
-    p_sweep.add_argument("--seed", type=int, help="master seed")
+    p_sweep.add_argument("--seed", type=int, help="master seed, one 64-bit two's-complement word")
     p_sweep.add_argument("--no-sim", action="store_true", help="emit theory-only rows")
     p_sweep.add_argument("--out", help="write CSV here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate-channel", help="channel statistics report (exact vs approximate cascade)")
     p_val.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
     p_val.add_argument("--samples", type=int, default=10**6)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=int, default=0, help="seed, one 64-bit two's-complement word")
     p_val.add_argument("--out", help="write report here instead of stdout")
     p_val.set_defaults(func=cmd_validate_channel)
 

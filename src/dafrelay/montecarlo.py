@@ -38,7 +38,7 @@ from .channel import (
 from .link import SIMULATED_ORDERS, Constellation, PowerAllocation, diff_encode, transmit
 from .receiver import Scheme
 
-__all__ = ["RunConfig", "BerEstimate", "run_point_schemes", "run_sweep"]
+__all__ = ["RunConfig", "BerEstimate", "seed_word", "run_point_schemes", "run_sweep"]
 
 # chunks computed at once by run_sweep: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -82,6 +82,11 @@ class BerEstimate:
     truncated: bool = False
 
 
+def seed_word(seed: int) -> int:
+    """A master seed as the one word its streams are keyed by: 64-bit two's complement, so -1 is 2^64 - 1."""
+    return seed & 0xFFFFFFFFFFFFFFFF
+
+
 def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
     """The stream of one chunk: the seed, the power in mdB, M and the chunk index, each its own word.
 
@@ -89,7 +94,7 @@ def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
     beyond the powers that PowerAllocation accepts (about -3240..3080 dB).
     """
     mdb = int(round(p_db * 1000))
-    return seeded_rng([config.master_seed & 0xFFFFFFFFFFFFFFFF, mdb & 0xFFFFFFFF, config.M, chunk_index])
+    return seeded_rng([seed_word(config.master_seed), mdb & 0xFFFFFFFF, config.M, chunk_index])
 
 
 def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Constellation, rng, n_frames: int):

@@ -213,6 +213,13 @@ class TestSweepCommand:
         assert row[0] == "2500"
         assert 0.0 < float(row[6]) < 1e-9
 
+    def test_autocorrelation_outside_the_analysis_is_named(self, tmp_path, capsys):
+        # J0(2 pi f) <= 0 for f >= 0.3828: at f_sd = 0.45 alpha_sd is -0.19615, and the message names it
+        cfg = write_cfg(tmp_path, "f_sd = 0.45\nf_sr = 0.01\nf_rd = 0.01\n")
+        assert main(["sweep", "--scheme", "tvd", "--no-sim", "--pdb", "10", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha_sd" in err and "-0.196" in err
+
     def test_theory_defined_at_negative_power(self, capsys):
         rc = main(["sweep", "--no-sim", "--scenario", "III", "--m", "2", "--scheme", "tvd", "--pdb", "-20:5:30"])
         assert rc == 0
@@ -239,6 +246,16 @@ class TestValidateChannelCommand:
                    "--out", str(out)])
         assert rc == 0
         assert "histogram:" in out.read_text()
+
+    def test_seed_is_one_64_bit_word(self, tmp_path):
+        # as in sweep, --seed -1 is the two's-complement word 2^64 - 1
+        reports = []
+        for seed in ("-1", str(2**64 - 1)):
+            out = tmp_path / f"seed{seed}.txt"
+            assert main(["validate-channel", "--scenario", "I", "--samples", "10000", "--seed", seed,
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_too_few_samples_exits_usage(self):
         assert main(["validate-channel", "--scenario", "I", "--samples", "100"]) == EXIT_USAGE

@@ -147,6 +147,24 @@ class TestDeterminism:
         assert sweep[1] == again[Scheme.CDD]
         assert sweep[3] == again[Scheme.TVD]
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(-2**63, 2**64 - 1), p_db=st.integers(-20, 80).map(lambda i: i / 2),
+           M=st.sampled_from([2, 4]))
+    def test_output_is_determined_by_seed_power_and_order(self, seed, p_db, M):
+        # a tiny AR(1) point of all three schemes, 3 frames of 64 symbols, one per chunk: the same
+        # estimates on a repeat, on 1 and 2 threads, and at the seed's 64-bit alias seed + 2^64
+        cfg = RunConfig(SCENARIOS["III"], M=M, max_symbols=3 * 64, frame_len=64, master_seed=seed,
+                        generator=FadingGenerator.AR1, frames_per_chunk=1)
+        usable = montecarlo._WORKERS  # set here, not by monkeypatch: hypothesis runs many examples per fixture
+        runs = []
+        try:
+            for workers, master_seed in ((1, seed), (1, seed), (2, seed), (2, seed + 2**64)):
+                montecarlo._WORKERS = workers
+                runs.append(run_point_schemes(replace(cfg, master_seed=master_seed), p_db, list(Scheme)))
+        finally:
+            montecarlo._WORKERS = usable
+        assert all(run == runs[0] for run in runs[1:])
+
 
 class TestChunkStreams:
     def test_power_and_order_keys_do_not_collide(self):

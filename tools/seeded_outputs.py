@@ -22,6 +22,9 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
   observations and h_rd that the simulator's `montecarlo._generate_chunk` returns on its own
   chunk stream (`montecarlo._chunk_rng`), so that a change of one last bit shows, which the
   printed BERs hide; h_sd and the cascade show through the observations;
+- `theory_raw_<scenario>_m<M>.txt` for I-III x M=2,4: the `repr` of the floor once and of each
+  point's PEP and BER that `analysis.pep_points` gives on -30:0.125:80 (`cli.parse_grid`), so
+  that a change of one last bit of the theory column shows, which the CSVs' six digits hide;
 - `SHA256SUMS`, one `sha256sum`-format line per output, sorted by name.
 
 To check a change, run this file from the parent checkout and from the change
@@ -35,7 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dafrelay import channel, cli, link, montecarlo  # noqa: E402
+from dafrelay import analysis, channel, cli, link, montecarlo  # noqa: E402
 from dafrelay.cli import main as dafrelay_main  # noqa: E402
 
 SCENARIOS = ("I", "II", "III")
@@ -98,6 +101,16 @@ def chunks():
             yield f"chunk_{gen.value}_{cascade.value}.bin", b"".join(a.tobytes() for a in arrays)
 
 
+def theory_raw():
+    """(output name, raw bytes) of the analysis' floor and each point's PEP and BER, per scenario and order."""
+    grid = cli.parse_grid("-30:0.125:80")
+    for scn in SCENARIOS:
+        for m in ORDERS:
+            points = analysis.pep_points(*channel.SCENARIOS[scn].autocorrs(), grid, m)
+            lines = [f"floor={points[0].floor!r}\n"] + [f"{pt.P_dB!r} pep={pt.pep!r} ber={pt.ber!r}\n" for pt in points]
+            yield f"theory_raw_{scn}_m{m}.txt", "".join(lines).encode()
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         sys.stderr.write("usage: seeded_outputs.py OUTDIR\n")
@@ -119,7 +132,7 @@ def main(argv) -> int:
             sums.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
             if stats:
                 raws.append((name.replace("validate_", "validate_raw_"), validate_raw(stats)))
-    for name, raw in [*raws, *chunks()]:
+    for name, raw in [*raws, *chunks(), *theory_raw()]:
         (outdir / name).write_bytes(raw)
         sums.append(f"{hashlib.sha256(raw).hexdigest()}  {name}\n")
     (outdir / "SHA256SUMS").write_text("".join(sorted(sums, key=lambda line: line.split()[1])))
