@@ -20,7 +20,7 @@ from .channel import (
     validate_stats,
 )
 from .link import SIMULATED_ORDERS
-from .montecarlo import RunConfig, run_sweep, seed_word
+from .montecarlo import RunConfig, _heap_policy, run_sweep, seed_word
 from .receiver import Scheme
 
 CSV_HEADER = "p_db,scenario,scheme,m,ber_sim,ci95,ber_theory,ber_floor,truncated"
@@ -150,19 +150,24 @@ def cmd_sweep(args) -> int:
 
     alpha_sd, alpha = scenario.autocorrs()
     # theory depends on the point only, the floor on neither point nor scheme; rows are
-    # scheme-major, as run_sweep returns them
-    points = analysis.pep_points(alpha_sd, alpha, grid, m)
-    _, floor_ber = analysis.ser_ber_from_pep(points[0].floor, m)
-    cells = [(scheme, p_db, point) for scheme in schemes for p_db, point in zip(grid, points)]
+    # scheme-major, as run_sweep returns them.  The analysis takes alpha_sd, alpha > 0 only
+    # (J0(2 pi f) <= 0 for f >= 0.3828): a simulated sweep of a faster link leaves its theory
+    # cells empty, and a theory-only one exits with the analysis' error.
+    theory_bers, floor_ber = [""] * len(grid), ""
+    if args.no_sim or min(alpha_sd, alpha) > 0:
+        points = analysis.pep_points(alpha_sd, alpha, grid, m)
+        theory_bers = [f"{point.ber:.6g}" for point in points]
+        floor_ber = f"{analysis.ser_ber_from_pep(points[0].floor, m)[1]:.6g}"
+    cells = [(scheme, p_db, ber) for scheme in schemes for p_db, ber in zip(grid, theory_bers)]
     estimates = [None] * len(cells) if args.no_sim else run_sweep(base, schemes)
     rows = []
-    for (scheme, p_db, point), est in zip(cells, estimates):
+    for (scheme, p_db, theory_ber), est in zip(cells, estimates):
         # values to 6 significant digits; the simulation columns are empty without an estimate
         ber_sim = ci95 = truncated = ""
         if est:
             ber_sim, ci95, truncated = f"{est.ber:.6g}", f"{est.ci95_halfwidth:.6g}", str(int(est.truncated))
         rows.append(",".join([f"{p_db:.6g}", scenario.name, scheme.value, str(m), ber_sim, ci95,
-                              f"{point.ber:.6g}", f"{floor_ber:.6g}", truncated]))
+                              theory_ber, floor_ber, truncated]))
     _write(args.out, "\n".join([CSV_HEADER] + rows) + "\n")
     return 0
 
@@ -176,6 +181,7 @@ def cmd_validate_channel(args) -> int:
     n_frames = n_samples // frame_len
     spec_sr, spec_rd = FadingSpec(scenario.f_sr), FadingSpec(scenario.f_rd)
     _, alpha = scenario.autocorrs()
+    _heap_policy()
 
     lines = [f"channel validation: scenario {scenario.name}"]
     lines.append(

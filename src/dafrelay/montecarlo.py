@@ -18,6 +18,8 @@ GIL, so threads give a real speed-up.  The thread pool is made once per sweep,
 since threads do not survive a `fork`; it starts no thread for a one-chunk sweep.
 """
 
+import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,6 +44,36 @@ __all__ = ["RunConfig", "BerEstimate", "seed_word", "run_point_schemes", "run_sw
 
 # chunks computed at once by run_sweep: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# glibc's mallopt parameters (malloc.h), with the values _heap_policy sets, in the order it sets them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
+
+
+@functools.cache
+def _heap_policy() -> bool:
+    """Keep the arrays a simulation frees on the heap for its next chunk; True when glibc took the policy.
+
+    By default glibc's mmap and trim thresholds are dynamic: a chunk's freed 0.5-1.3 MB
+    temporaries are unmapped, or trimmed off the top of the heap, and the next chunk faults their
+    pages in again, on every chunk thread at once.  A fixed mmap threshold of 32 MiB (glibc's
+    64-bit ceiling) puts such arrays on the heap, and a trim threshold of 256 MiB keeps their pages
+    there: freed memory stays with the process, up to that size, until it exits.  Both thresholds
+    are set, because setting either one turns the dynamic thresholds off: the trim threshold alone
+    leaves the mmap threshold at 128 KiB, and every larger array is then mapped and unmapped per
+    chunk.  The mmap threshold goes first, so a refused one leaves the trim threshold unset.
+    Without glibc's mallopt nothing is set.  No array operation changes, so every output keeps its
+    bits.  Called by the commands that simulate, before their first chunk-sized allocation.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # a C library without mallopt, or none by that name (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        if mallopt(param, value) != 1:  # mallopt returns 1 on success
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -181,6 +213,7 @@ def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
     schemes = list(schemes)
     if len(set(schemes)) < len(schemes):
         raise ValueError(f"repeated scheme in {[scheme.value for scheme in schemes]}")
+    _heap_policy()
     points = [_Point(config, p_db, schemes) for p_db in config.p_db_grid]
     n_chunks = -(-(config.max_symbols // config.frame_len) // config.frames_per_chunk)
 

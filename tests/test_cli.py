@@ -220,6 +220,16 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "alpha_sd" in err and "-0.196" in err
 
+    def test_link_outside_the_analysis_is_simulated_without_theory(self, tmp_path, capsys):
+        # the simulator runs any f < 0.5; rows whose link the analysis does not cover leave both theory cells empty
+        cfg = write_cfg(tmp_path, "f_sd = 0.45\nf_sr = 0.01\nf_rd = 0.01\n")
+        assert main(["sweep", "--scheme", "all", "--pdb", "10:10:20", "--seed", "1", "--config", cfg]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [(row[0], row[2]) for row in rows] == [(p, s) for s in ("cdd", "tvd", "opt") for p in ("10", "20")]
+        for row in rows:
+            assert row[1] == "custom" and 0.0 < float(row[4]) < 0.5 and float(row[5]) > 0.0
+            assert row[6] == row[7] == ""
+
     def test_theory_defined_at_negative_power(self, capsys):
         rc = main(["sweep", "--no-sim", "--scenario", "III", "--m", "2", "--scheme", "tvd", "--pdb", "-20:5:30"])
         assert rc == 0

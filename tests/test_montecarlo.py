@@ -1,8 +1,13 @@
 """Monte Carlo BER machinery: stopping rules, determinism, paired-scheme runs."""
 
+import ctypes
+import subprocess
+import sys
 import threading
 import tracemalloc
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +366,68 @@ class TestChunkMemory:
         array = np.empty((8, 10**4 + 1), dtype=complex).nbytes
         assert generated[1].shape == (8, 10**4 + 1)
         assert peak <= 8.5 * array
+
+
+FAULT_PROBE = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from dafrelay import montecarlo
+from dafrelay.cli import main
+
+if not montecarlo._heap_policy():
+    print("no mallopt")
+    sys.exit()
+import resource
+
+argv = ["sweep", "--config", sys.argv[2], "--scenario", "III", "--scheme", "all", "--pdb", "10:20:30",
+        "--out", os.devnull]
+for seed in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv + ["--seed", str(seed)]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def no_c_library(name):
+    raise TypeError("LoadLibrary() argument 1 must be str, not None")  # ctypes.CDLL(None) on Windows
+
+
+class TestHeapPolicy:
+    def test_third_sweep_reuses_the_freed_chunks(self, tmp_path):
+        # two points of one SoS exact-cascade chunk each (8 frames of 10^4 symbols), so both run at once where
+        # two CPUs are usable; with glibc's dynamic thresholds every sweep faults its chunks' pages in again,
+        # about 6400 minor faults on a 2-vCPU VM
+        cfg = tmp_path / "sos.cfg"
+        cfg.write_text("generator = sos\ncascaded = exact\nframe_len = 10000\nmax_symbols = 80000\n"
+                       "min_bit_errors = 1000000000\n")
+        src = Path(montecarlo.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(src), str(cfg)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "no mallopt":
+            pytest.skip("the C library has no mallopt")
+        assert int(proc.stdout) < 500
+
+    @pytest.mark.parametrize("libc", [lambda name: types.SimpleNamespace(), no_c_library],
+                             ids=["no-mallopt", "no-c-library"])
+    def test_nothing_is_set_without_mallopt(self, monkeypatch, libc):
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        assert montecarlo._heap_policy.__wrapped__() is False
+
+    @pytest.mark.parametrize("refused, expected", [(None, [(-3, 32 << 20), (-1, 256 << 20)]),
+                                                   (-3, [(-3, 32 << 20)]), (-1, [(-3, 32 << 20), (-1, 256 << 20)])])
+    def test_both_thresholds_are_set_mmap_first(self, monkeypatch, refused, expected):
+        # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h; mallopt returns 1 on success.  A
+        # refused mmap threshold leaves the trim threshold unset: alone, it would keep mmap at 128 KiB
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return int(param != refused)
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert montecarlo._heap_policy.__wrapped__() is (refused is None)
+        assert calls == expected
 
 
 class TestPairedSchemes:
