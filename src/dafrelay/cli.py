@@ -59,7 +59,8 @@ def parse_grid(spec: str) -> tuple:
     start, step, stop = values
     if step <= 0 or stop < start:
         raise ValueError(f"malformed grid {spec!r}")
-    n = round(min((stop - start) / step, _MAX_GRID_POINTS)) + 1  # min: the span may overflow to inf
+    # every start + i * step <= stop, allowing 1e-9 step for rounding; min: the span may overflow to inf
+    n = math.floor(min((stop - start) / step + 1e-9, _MAX_GRID_POINTS)) + 1
     if n > _MAX_GRID_POINTS:
         raise ValueError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     return tuple(round(start + i * step, 9) for i in range(n))
@@ -144,7 +145,13 @@ def cmd_sweep(args) -> int:
     # the command line overrides the config file; the CLI's default grid differs from RunConfig's
     given = {"m": args.m, "p_db": args.pdb, "seed": args.seed}
     values = {"p_db": "0:5:30", **cfg, **{key: v for key, v in given.items() if v is not None}}
-    fields = {field: parse(values[key]) for key, (field, parse) in _RUN_KEYS.items() if key in values}
+    fields = {}
+    for key, (field, parse) in _RUN_KEYS.items():
+        if key in values:
+            try:
+                fields[field] = parse(values[key])
+            except ValueError as exc:
+                raise ValueError(f"{key} = {values[key]}: {exc}") from exc
     base = RunConfig(scenario=scenario, **fields)
     m, grid = base.M, base.p_db_grid
 

@@ -64,25 +64,24 @@ class Constellation:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Source/relay powers (linear) and the relay amplification factor."""
+    """Source power P0 (linear) and the relay amplification factor A."""
 
     P0: float
-    P1: float
     A: float
 
     @classmethod
     def equal_from_total_db(cls, p_db: float) -> "PowerAllocation":
-        """Equal split P0 = P1 = P/2 with A = sqrt(P1/(P0+1))."""
+        """Equal split P0 = P1 = P/2 of the total power P, with the relay gain A = sqrt(P1/(P0+1)) = sqrt(P0/(P0+1))."""
         try:
             p = 10.0 ** (p_db / 10.0)
         except OverflowError as exc:
             raise ValueError(f"total power {p_db} dB overflows") from exc
-        p0 = p1 = p / 2.0
-        return cls(p0, p1, float(np.sqrt(p1 / (p0 + 1.0))))
+        p0 = p / 2.0
+        return cls(p0, float(np.sqrt(p0 / (p0 + 1.0))))
 
     def __post_init__(self):
-        if not (0 < self.P0 < np.inf and 0 < self.P1 < np.inf):
-            raise ValueError(f"P0 and P1 must be positive and finite, got {self.P0} and {self.P1}")
+        if not 0 < self.P0 < np.inf:
+            raise ValueError(f"P0 must be positive and finite, got {self.P0}")
 
 
 def diff_encode(symbols, constellation: Constellation):

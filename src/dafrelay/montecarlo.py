@@ -129,25 +129,6 @@ def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
     return seeded_rng([seed_word(config.master_seed), mdb & 0xFFFFFFFF, config.M, chunk_index])
 
 
-def _generate_chunk(config: RunConfig, specs, pa: PowerAllocation, const: Constellation, rng, n_frames: int):
-    """One chunk of independent frames: data and destination observations.
-
-    `specs` are the (sd, sr, rd) link FadingSpecs.  Draw order is fixed for
-    reproducibility: data, h_sd, the cascade (h_rd first), then noise.
-    Returns (data, y_sd, y_rd, h_rd) with observation shape (n_frames, L+1).
-    """
-    spec_sd, spec_sr, spec_rd = specs
-    L = config.frame_len
-    # the sent Gray patterns, one byte each
-    data = rng.integers(0, const.M, (n_frames, L), dtype=np.uint8)
-    s = diff_encode(const.index_of_gray[data], const)  # Gray bit patterns -> symbol indices
-
-    h_sd = gen_fading(spec_sd, L + 1, rng, n_frames)
-    h, h_rd = gen_cascaded(spec_sr, spec_rd, config.cascaded_model, L + 1, rng, n_frames)
-    y_sd, y_rd = transmit(s, h_sd, h, h_rd, pa, rng)
-    return data, y_sd, y_rd, h_rd
-
-
 class _Point:
     """One power point: its chunks' bit errors, and their counts added in chunk order."""
 
@@ -165,17 +146,28 @@ class _Point:
         max_frames = self.config.max_symbols // self.config.frame_len
         return min(self.config.frames_per_chunk, max_frames - i * self.config.frames_per_chunk)
 
+    def chunk(self, i):
+        """Chunk i on its own stream: data of shape (n, L), y_sd, y_rd and h_rd of (n, L + 1), n = chunk_frames(i).
+
+        Draw order is fixed for reproducibility: data, h_sd, the cascade (h_rd first), then noise.
+        """
+        rng, const = _chunk_rng(self.config, self.p_db, i), self.const
+        n_frames, L = self.chunk_frames(i), self.config.frame_len
+        data = rng.integers(0, const.M, (n_frames, L), dtype=np.uint8)  # the sent Gray patterns, one byte each
+        s = diff_encode(const.index_of_gray[data], const)  # Gray bit patterns -> symbol indices
+        h_sd = gen_fading(self.specs[0], L + 1, rng, n_frames)
+        h, h_rd = gen_cascaded(*self.specs[1:], self.config.cascaded_model, L + 1, rng, n_frames)
+        y_sd, y_rd = transmit(s, h_sd, h, h_rd, self.pa, rng)
+        return data, y_sd, y_rd, h_rd
+
     def chunk_errors(self, i):
-        """Bit errors of each scheme on chunk i of the point, from its own stream."""
-        rng = _chunk_rng(self.config, self.p_db, i)
-        data, y_sd, y_rd, h_rd = _generate_chunk(self.config, self.specs, self.pa, self.const, rng,
-                                                 self.chunk_frames(i))
+        """Bit errors of each scheme on chunk i of the point."""
+        data, y_sd, y_rd, h_rd = self.chunk(i)
         d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
         del y_sd, y_rd
-        alpha_sd, alpha = self.alphas
         counts = []
         for scheme in self.schemes:
-            zeta = receiver.scheme_weights(scheme, alpha_sd, alpha, self.pa.P0, self.pa.A, h_rd).apply(d_sd, d_rd)
+            zeta = receiver.scheme_weights(scheme, *self.alphas, self.pa.P0, self.pa.A, h_rd).apply(d_sd, d_rd)
             counts.append(int(receiver.frame_bit_errors(zeta, data, self.const).sum()))
         return counts
 
@@ -206,11 +198,13 @@ def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
     """Every point of config.p_db_grid over the sweep's one chunk schedule; deterministic given master_seed.
 
     Each point runs until every scheme has min_bit_errors or its budget of max_symbols // frame_len
-    whole frames is spent.  A repeated scheme raises ValueError: its counts would be added once per
-    repeat.  Returns a flat list in scheme-major order: every point of the first scheme, then every
-    point of the next.
+    whole frames is spent.  An empty or repeated scheme list raises ValueError: a point of no scheme
+    has no stopping rule, and a repeated scheme's counts would be added once per repeat.  Returns a
+    flat list in scheme-major order: every point of the first scheme, then every point of the next.
     """
     schemes = list(schemes)
+    if not schemes:
+        raise ValueError("no scheme to simulate: the scheme list is empty")
     if len(set(schemes)) < len(schemes):
         raise ValueError(f"repeated scheme in {[scheme.value for scheme in schemes]}")
     _heap_policy()

@@ -50,6 +50,10 @@ class TestHelpers:
     def test_parse_grid(self):
         assert parse_grid("0:5:30") == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
         assert parse_grid("12.5") == (12.5,)
+        # the stop is inclusive and bounds the grid: no point lies beyond a stop that is not on it
+        assert parse_grid("0:5:32.6") == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+        assert parse_grid("0:0.6:1") == (0.0, 0.6)
+        assert parse_grid("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
         with pytest.raises(ValueError):
             parse_grid("0:5")
         with pytest.raises(ValueError):
@@ -164,13 +168,14 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "extra",
         ["generator = foo", "cascaded = foo", "min_bit_error = 60", "f_sd = 0.3\nf_sr = 0.3\nf_rd = 0.3", "m = 8",
-         "m = 512", "max_symbols = inf", "max_symbols = 1e400"],
+         "m = 512", "max_symbols = inf", "max_symbols = 1e400", "frame_len = 1e4", "seed = x"],
     )
     def test_bad_config_entry_exits_usage(self, tmp_path, capsys, extra):
         cfg = write_cfg(tmp_path, extra)
         rc = main(["sweep", "--scenario", "I", "--pdb", "10", "--no-sim", "--config", cfg])
         assert rc == EXIT_USAGE
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and extra.split(" =")[0] in err  # the message names the entry's key
 
     def test_missing_scenario_exits_usage(self, capsys):
         rc = main(["sweep", "--m", "2", "--pdb", "10", "--no-sim"])

@@ -57,9 +57,7 @@ class TestConstellation:
 class TestPowerAllocation:
     def test_equal_split(self):
         pa = PowerAllocation.equal_from_total_db(10.0)
-        assert pa.P0 + pa.P1 == pytest.approx(10.0)
-        assert pa.P0 == pytest.approx(5.0)
-        assert pa.P1 == pytest.approx(5.0)
+        assert pa.P0 == pytest.approx(10.0 / 2)
         assert pa.A == pytest.approx(np.sqrt(5.0 / 6.0), abs=1e-15)
 
     def test_zero_db(self):
@@ -68,14 +66,14 @@ class TestPowerAllocation:
         assert pa.A == pytest.approx(np.sqrt(0.5 / 1.5), abs=1e-15)
 
     def test_amplifier_gain_normalizes_relay_power(self):
-        # A^2 (P0 + 1) = P1: the relay retransmits at exactly its power budget
+        # A^2 (P0 + 1) = P1 = P/2: the relay retransmits at exactly its half of the total power
         for p_db in (-5.0, 0.0, 13.0, 30.0):
             pa = PowerAllocation.equal_from_total_db(p_db)
-            assert pa.A**2 * (pa.P0 + 1.0) == pytest.approx(pa.P1, rel=1e-12)
+            assert pa.A**2 * (pa.P0 + 1.0) == pytest.approx(10.0 ** (p_db / 10.0) / 2, rel=1e-12)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            PowerAllocation(-1.0, 1.0, 1.0)
+            PowerAllocation(-1.0, 1.0)
 
 
 class TestDiffEncode:

@@ -29,8 +29,8 @@ from dafrelay.montecarlo import (
     run_point_schemes,
     run_sweep,
 )
-from dafrelay.link import Constellation, PowerAllocation
-from dafrelay.montecarlo import _chunk_rng, _generate_chunk
+from dafrelay.link import PowerAllocation
+from dafrelay.montecarlo import _chunk_rng, _Point
 from dafrelay.receiver import Scheme, diff_products, frame_bit_errors, scheme_weights
 
 FAST = dict(
@@ -43,14 +43,6 @@ FAST = dict(
 
 def run_one(cfg, p_db, scheme=Scheme.TVD):
     return run_point_schemes(cfg, p_db, [scheme])[scheme]
-
-
-def chunk(cfg, p_db, n_frames, index=0):
-    """Chunk `index` of the point at p_db, as run_point_schemes generates it: (data, y_sd, y_rd, h_rd)."""
-    scn = cfg.scenario
-    specs = tuple(FadingSpec(f, generator=cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
-    pa, const = PowerAllocation.equal_from_total_db(p_db), Constellation.of(cfg.M)
-    return _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, p_db, index), n_frames)
 
 
 class TestRunConfig:
@@ -135,9 +127,9 @@ class TestDeterminism:
 
     def test_seed_changes_outcome(self):
         # two seeds draw different data, channels and noise; their error counts may still tie
-        base = dict(scenario=SCENARIOS["II"], p_db_grid=(10.0,), **FAST)
-        a = chunk(RunConfig(master_seed=4, **base), 10.0, 2)
-        b = chunk(RunConfig(master_seed=5, **base), 10.0, 2)
+        base = dict(scenario=SCENARIOS["II"], p_db_grid=(10.0,), frames_per_chunk=2, **FAST)
+        a = _Point(RunConfig(master_seed=4, **base), 10.0, ()).chunk(0)
+        b = _Point(RunConfig(master_seed=5, **base), 10.0, ()).chunk(0)
         for x, y in zip(a, b):
             assert x.shape == y.shape and not np.array_equal(x, y)
 
@@ -234,13 +226,13 @@ class TestWorkerCount:
         cfg = RunConfig(SCENARIOS["I"], p_db_grid=(10.0,), min_bit_errors=50, max_symbols=10**5, frame_len=100,
                         frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=8)
         calls = []  # the worker count of every chunk computed
-        generate = montecarlo._generate_chunk
+        generate = _Point.chunk
 
-        def counting(*args):
+        def counting(point, i):
             calls.append(montecarlo._WORKERS)
-            return generate(*args)
+            return generate(point, i)
 
-        monkeypatch.setattr(montecarlo, "_generate_chunk", counting)
+        monkeypatch.setattr(_Point, "chunk", counting)
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         serial = run_point_schemes(cfg, 10.0, (Scheme.CDD, Scheme.TVD))
         stop = len(calls)
@@ -279,14 +271,14 @@ class TestWorkerCount:
         # 3 frames in chunks of 2 and 1: only chunk 1 has one frame, and helpers compute it when W > 1
         cfg = RunConfig(SCENARIOS["I"], p_db_grid=(10.0,), min_bit_errors=10**9, max_symbols=3 * 100,
                         frame_len=100, frames_per_chunk=2, generator=FadingGenerator.AR1)
-        generate = montecarlo._generate_chunk
+        generate = _Point.chunk
 
-        def failing(config, specs, pa, const, rng, n_frames):
-            if n_frames == 1:
+        def failing(point, i):
+            if i == 1:
                 raise ChunkFailed("chunk 1")
-            return generate(config, specs, pa, const, rng, n_frames)
+            return generate(point, i)
 
-        monkeypatch.setattr(montecarlo, "_generate_chunk", failing)
+        monkeypatch.setattr(_Point, "chunk", failing)
         for workers in self.WORKERS:
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
             with pytest.raises(ChunkFailed):
@@ -315,13 +307,13 @@ class TestWorkerCount:
         expected = [scheduled(w) for w in self.WORKERS]
         assert expected[0] == sum(stops) and max(expected) > sum(stops)  # some W computes past a stop
         calls = []  # the worker count of every chunk computed
-        generate = montecarlo._generate_chunk
+        generate = _Point.chunk
 
-        def counting(*args):
+        def counting(point, i):
             calls.append(montecarlo._WORKERS)
-            return generate(*args)
+            return generate(point, i)
 
-        monkeypatch.setattr(montecarlo, "_generate_chunk", counting)
+        monkeypatch.setattr(_Point, "chunk", counting)
         sweeps = []
         for workers in self.WORKERS:
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
@@ -335,16 +327,16 @@ class TestWorkerCount:
         cfg = RunConfig(SCENARIOS["II"], M=4, p_db_grid=(10.0, 20.0), min_bit_errors=10**9, max_symbols=2 * 300,
                         frame_len=300, frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=11)
         barrier = threading.Barrier(2, timeout=10)
-        generate = montecarlo._generate_chunk
+        generate = _Point.chunk
 
-        def waiting(*args):
+        def waiting(point, i):
             barrier.wait()
-            return generate(*args)
+            return generate(point, i)
 
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-        monkeypatch.setattr(montecarlo, "_generate_chunk", waiting)
+        monkeypatch.setattr(_Point, "chunk", waiting)
         sweep = run_sweep(cfg, [Scheme.TVD])
-        monkeypatch.setattr(montecarlo, "_generate_chunk", generate)
+        monkeypatch.setattr(_Point, "chunk", generate)
         assert sweep == [run_one(cfg, p_db) for p_db in cfg.p_db_grid]
 
 
@@ -352,14 +344,12 @@ class TestChunkMemory:
     def test_sos_exact_chunk_working_set(self):
         # the CLI's default chunk shape: 8 frames of 10^4 symbols, SoS fading, exact cascade; a sweep has one
         # chunk in flight per CPU, so its memory grows with the peak of one chunk
-        cfg = RunConfig(SCENARIOS["III"], frame_len=10**4, max_symbols=8 * 10**4)
-        scn = cfg.scenario
-        specs = tuple(FadingSpec(f, generator=cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
-        pa, const = PowerAllocation.equal_from_total_db(10.0), Constellation.of(cfg.M)
-        _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 10.0, 0), 8)  # one-time allocations
+        cfg = RunConfig(SCENARIOS["III"], frame_len=10**4, max_symbols=8 * 10**4, frames_per_chunk=8)
+        point = _Point(cfg, 10.0, ())
+        point.chunk(0)  # one-time allocations
         tracemalloc.start()
         try:
-            generated = _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 10.0, 0), 8)
+            generated = point.chunk(0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -450,6 +440,12 @@ class TestPairedSchemes:
         with pytest.raises(ValueError, match="repeated scheme"):
             run_sweep(cfg, [Scheme.TVD, Scheme.TVD])
 
+    def test_empty_scheme_list_is_rejected(self):
+        # a point of no scheme would have no error count to stop on
+        cfg = RunConfig(scenario=SCENARIOS["III"], p_db_grid=(10.0,), master_seed=7, **FAST)
+        with pytest.raises(ValueError, match="scheme list is empty"):
+            run_sweep(cfg, [])
+
     def test_quasi_static_schemes_coincide(self):
         # Scenario I fading is so slow that CDD and TVD weights nearly agree;
         # with shared draws their error counts are very close
@@ -498,14 +494,14 @@ def test_frame_errors_match_combine_detect(M, cascade):
     # reference: the combiner written out -> argmax decision -> Gray pattern -> popcount of the xor,
     # per frame (row)
     scn = SCENARIOS["III"]
-    cfg = RunConfig(scn, M=M, frame_len=500, generator=FadingGenerator.AR1, cascaded_model=cascade)
-    pa = PowerAllocation.equal_from_total_db(12.0)
-    const = Constellation.of(M)
-    specs = tuple(FadingSpec(f, generator=cfg.generator) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
+    cfg = RunConfig(scn, M=M, frame_len=500, generator=FadingGenerator.AR1, cascaded_model=cascade,
+                    frames_per_chunk=16)
+    point = _Point(cfg, 12.0, ())
+    pa, const = point.pa, point.const
     alpha_sd, alpha = scn.autocorrs()
     popcount = np.array([bin(i).count("1") for i in range(M)])
     for chunk_index in range(2):
-        data, y_sd, y_rd, h_rd = _generate_chunk(cfg, specs, pa, const, _chunk_rng(cfg, 12.0, chunk_index), 16)
+        data, y_sd, y_rd, h_rd = point.chunk(chunk_index)
         d_sd, d_rd = diff_products(y_sd, y_rd)
         for scheme in Scheme:
             w = scheme_weights(scheme, alpha_sd, alpha, pa.P0, pa.A, h_rd)

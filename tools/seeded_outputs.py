@@ -19,8 +19,8 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
   more than one block of the analysis' quadrature pass, down to the lowest power the theory covers;
 - `chunk_<gen>_<cascade>.bin`: the raw bytes of one seeded simulation chunk (8 frames of
   1000 symbols, scenario III, M=4, 20 dB) for ar1/sos x exact/approx: the data, both
-  observations and h_rd that the simulator's `montecarlo._generate_chunk` returns on its own
-  chunk stream (`montecarlo._chunk_rng`), so that a change of one last bit shows, which the
+  observations and h_rd that the simulator's one chunk recipe, `montecarlo._Point.chunk`,
+  returns on its own chunk stream, so that a change of one last bit shows, which the
   printed BERs hide; h_sd and the cascade show through the observations;
 - `theory_raw_<scenario>_m<M>.txt` for I-III x M=2,4: the `repr` of the floor once and of each
   point's PEP and BER that `analysis.pep_points` gives on -30:0.125:80 (`cli.parse_grid`), so
@@ -28,7 +28,8 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
 - `SHA256SUMS`, one `sha256sum`-format line per output, sorted by name.
 
 To check a change, run this file from the parent checkout and from the change
-(copy it into the parent if it predates it) and compare the two SHA256SUMS.
+(copy it into the parent if it predates it, and the parent has `_Point.chunk`;
+otherwise run the parent's own copy) and compare the two SHA256SUMS.
 """
 
 import hashlib
@@ -38,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dafrelay import analysis, channel, cli, link, montecarlo  # noqa: E402
+from dafrelay import analysis, channel, cli, montecarlo  # noqa: E402
 from dafrelay.cli import main as dafrelay_main  # noqa: E402
 
 SCENARIOS = ("I", "II", "III")
@@ -88,16 +89,11 @@ def validate_raw(stats) -> bytes:
 
 def chunks():
     """(output name, raw bytes) of one seeded simulation chunk per generator and cascade model."""
-    scn = channel.SCENARIOS["III"]
-    const = link.Constellation.of(4)
-    power = link.PowerAllocation.equal_from_total_db(20.0)
     for i, gen in enumerate(channel.FadingGenerator):
-        specs = tuple(channel.FadingSpec(f, generator=gen) for f in (scn.f_sd, scn.f_sr, scn.f_rd))
         for j, cascade in enumerate(channel.CascadedModelKind):
-            config = montecarlo.RunConfig(scn, M=const.M, frame_len=1000, master_seed=5, generator=gen,
-                                          cascaded_model=cascade)
-            rng = montecarlo._chunk_rng(config, 20.0, 2 * i + j)
-            arrays = montecarlo._generate_chunk(config, specs, power, const, rng, 8)
+            config = montecarlo.RunConfig(channel.SCENARIOS["III"], M=4, frame_len=1000, master_seed=5, generator=gen,
+                                          cascaded_model=cascade, frames_per_chunk=8)
+            arrays = montecarlo._Point(config, 20.0, ()).chunk(2 * i + j)
             yield f"chunk_{gen.value}_{cascade.value}.bin", b"".join(a.tobytes() for a in arrays)
 
 
