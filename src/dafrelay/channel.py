@@ -5,7 +5,8 @@ lag-1 autocorrelation is exact by construction, and an improved-Jakes
 sum-of-sinusoids simulator whose autocorrelation tracks J0(2*pi*f*k), with the
 draws and terms of the classical cosine form summed as a matmul over k = b*B + j.
 The AR(1) link and the one-term cascade approximation share one generator (`_gen_ar1`),
-the cascade's driven by h_rd.
+the cascade's driven by h_rd.  Its recursion (`_ar1`) runs as a blocked linear scan, one
+real matmul per block of samples, or column by column on blocks of many short rows.
 A link used every n-th symbol (n = 2 for symbol-by-symbol transmission) is the link at n*f.
 
 Every generator returns a batch of independent realizations, shape
@@ -14,6 +15,7 @@ processes needs many independent realizations: a single chain at low Doppler
 has an effective sample size far too small for the tolerances used here.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -124,39 +126,90 @@ def _crandn(rng, shape, scale=1.0):
     return pairs.view(complex).reshape(shape)
 
 
-# samples per row block of _ar1: lfilter returns a new array, so filtering in row blocks keeps that temporary
-# small, and a block stepped by column stays in cache
+# samples per row block of _ar1: the scan's temporaries stay small, and a block stepped by column stays in cache
 _AR1_BLOCK = 1 << 16
+# _ar1 steps a row block by column when rows >= _AR1_COLUMN_ROWS * (columns - _AR1_SCAN_COLUMNS), and scans it
+# otherwise: a scan's fixed cost is that of stepping about 4 columns, and past those the column loop needs about
+# 64 rows per column to keep up.  Measured in ns/sample, column loop vs scan (one BLAS thread, median of 7):
+# 5.1 vs 10.8 at 6553 x 10 (validate-channel's blocks), 7.2 vs 11.1 at 1000 x 10, 223 vs 361 at 8 x 5,
+# 7.8 vs 9.0 at 2048 x 32; 67.8 vs 50.6 at 30 x 10, 11.0 vs 8.9 at 1024 x 64, 61.2 vs 14.4 at 64 x 64.
+# Rows of 35 samples or more never hold enough rows per block of _AR1_BLOCK samples, and always take the scan.
+_AR1_COLUMN_ROWS = 64
+_AR1_SCAN_COLUMNS = 4
+# the scan's samples per block, and block rows per gemm: a (128, 2B + 2) @ (2B + 2, 2B) call stays within
+# OpenBLAS's one-thread size, so the bits do not depend on its thread count
+_SCAN_B = 16
+_SCAN_GEMM_ROWS = 128
 
 
 def _ar1(a, h0, x):
     """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], over blocks of rows.
 
-    Blocks at least as tall as they are wide (validate-channel's 10-sample rows) are stepped by column, two
-    numpy calls per column; the column loop's cost per call makes it slow on wider ones (the sweeps' frames,
-    and any rows over 256 samples), which run lfilter on their (rows, L, 2) float view, since a is real and the
-    real and imaginary parts filter apart.  The bits are those of the plain loop, also for a = 1 with zero
-    input and for x without columns.
+    A block of many short rows (rows >= _AR1_COLUMN_ROWS * (columns - _AR1_SCAN_COLUMNS), as validate-channel's
+    rows of 10 samples) is stepped by column, two numpy calls per column, with the bits of the plain loop, also
+    for a = 1 with zero input and for x without columns.  Any other block (the sweeps' frames, and every row of
+    35 samples or more) runs the blocked linear scan of `_ar1_scan`, whose number of numpy calls does not grow
+    with the columns; it matches the plain loop to about 1e-14 of max|h| rather than bit for bit, and also
+    holds h0 exactly at a = 1 with zero input.
     """
     n, length = len(h0), x.shape[1] + 1
     h = np.empty((n, length), dtype=complex)
     h[:, 0] = h0
     rows = max(1, _AR1_BLOCK // length)
-    if min(n, rows) >= length:
-        for i in range(0, n, rows):
-            block, xb = h[i:i + rows], x[i:i + rows]
-            for k in range(1, length):
-                np.multiply(block[:, k - 1], a, out=block[:, k])
-                block[:, k] += xb[:, k - 1]
-        return h
-    from scipy.signal import lfilter
-
-    out = h.view(float).reshape(n, length, 2)
-    x = np.ascontiguousarray(x, dtype=complex).view(float).reshape(n, length - 1, 2)
+    step = _ar1_columns if min(n, rows) >= _AR1_COLUMN_ROWS * (length - 1 - _AR1_SCAN_COLUMNS) else _ar1_scan
     for i in range(0, n, rows):
-        block = out[i:i + rows]
-        block[:, 1:], _ = lfilter([1.0], [1.0, -a], x[i:i + rows], axis=1, zi=a * block[:, :1])
+        step(a, h[i:i + rows], x[i:i + rows])
     return h
+
+
+def _ar1_columns(a, block, x):
+    """block[:, 1:] of the recursion from block[:, 0], one column at a time."""
+    for k in range(1, block.shape[1]):
+        np.multiply(block[:, k - 1], a, out=block[:, k])
+        block[:, k] += x[:, k - 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_kernel(a):
+    """kron([[T], [a^(1..B)]], I2) with T[i, j] = a^(j-i) for j >= i, else 0: shape (2B + 2, 2B), read-only.
+
+    Cached per a, 9 KB each, since every chunk of a sweep runs the same few coefficients and their powers a^B.
+    """
+    p = np.power(float(a), np.arange(_SCAN_B + 1))
+    lag = np.arange(_SCAN_B) - np.arange(_SCAN_B)[:, None]
+    k = np.kron(np.vstack((np.where(lag >= 0, p[np.maximum(lag, 0)], 0.0), p[1:])), np.eye(2))
+    k.flags.writeable = False
+    return k
+
+
+def _ar1_scan(a, block, x):
+    """block[:, 1:] of the recursion from block[:, 0], as a blocked linear scan of x's m >= 1 columns.
+
+    Each row of x is split into blocks of B = _SCAN_B samples, the last one zero-padded.  As a is real, the
+    real and imaginary parts run apart, so on a block's float (re, im) pairs, with the carry c (the value
+    before the block) appended, [x | c] @ `_scan_kernel(a)` is the block run from c.  The carries are
+    themselves an AR(1) with coefficient a^B, from block[:, 0], whose input is each block run from zero to
+    its end (the kernel's last two columns without the carry row): `_ar1` again, on m/B columns.  The
+    (rows x blocks) rows of [x | c] go through the gemms in groups of at most _SCAN_GEMM_ROWS.
+    """
+    n, m = x.shape
+    width = 2 * _SCAN_B  # floats per block
+    full, tail = divmod(m, _SCAN_B)
+    nb = full + (tail > 0)
+    total = n * nb
+    groups = -(-total // _SCAN_GEMM_ROWS)
+    k = _scan_kernel(a)
+    buf = np.empty((groups, -(-total // groups), width + 2))
+    rows = buf.reshape(-1, width + 2)
+    rows[total:] = 0.0
+    xs = rows[:total, :width].view(complex).reshape(n, nb, _SCAN_B)
+    xs[:, :full] = x[:, :full * _SCAN_B].reshape(n, full, _SCAN_B)
+    if tail:
+        xs[:, full, :tail] = x[:, full * _SCAN_B:]
+        xs[:, full, tail:] = 0.0
+    ends = (buf[..., :width] @ k[:width, -2:]).reshape(-1, 2)[:total].view(complex).reshape(n, nb)
+    rows[:total, width:].view(complex)[:, 0] = _ar1(a**_SCAN_B, block[:, 0], ends[:, :-1]).ravel()
+    block[:, 1:] = (buf @ k).reshape(-1, width)[:total].view(complex).reshape(n, -1)[:, :m]
 
 
 def _gen_ar1(alpha, length, rng, n_real, gain=None):

@@ -1,5 +1,6 @@
 """Differential BPSK and QPSK, the M-PSK minimum distance and the two-phase relay transmit chain."""
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -26,8 +27,12 @@ def _check_order(M: int) -> None:
         raise ValueError(f"M must be a power of 2 >= 2, got {M}")
 
 
+@functools.cache
 def psk_d_min_sq(M: int) -> float:
-    """Squared minimum distance 4 sin^2(pi/M) of unit-energy M-PSK, M a power of 2 >= 2."""
+    """Squared minimum distance 4 sin^2(pi/M) of unit-energy M-PSK, M a power of 2 >= 2.
+
+    Cached, since every point of a theory grid asks for the same order.
+    """
     _check_order(M)
     return float(4.0 * np.sin(np.pi / M) ** 2)
 

@@ -13,9 +13,10 @@ round and W - 1 helper threads the rest, and a round skips the chunks of points
 that have stopped.  Each point adds its counts in chunk order, checks the
 stopping rule before each add and discards the chunks computed past its stop:
 results do not depend on W, and a point that stops on its error count wastes at
-most W - 1 chunks.  The numpy draws, `lfilter`, the ufuncs and BLAS release the
-GIL, so threads give a real speed-up.  The thread pool is made once per sweep,
-since threads do not survive a `fork`; it starts no thread for a one-chunk sweep.
+most W - 1 chunks.  The numpy draws, the ufuncs and BLAS (the sum-of-sinusoids
+and AR(1) matmuls) release the GIL, so threads give a real speed-up.  The thread
+pool is made once per sweep, since threads do not survive a `fork`; it starts no
+thread for a one-chunk sweep.
 """
 
 import ctypes

@@ -66,16 +66,18 @@ _E1_ASYMPTOTIC = np.array([(-1) ** k * math.factorial(k) for k in range(20)], dt
 def exp_e1_scaled(x):
     """Fused exp(x)*E1(x), safe against overflow of exp(x) for large x.
 
-    scipy's E1 up to x = 50; above, the asymptotic series in 1/x by Horner's rule.
+    scipy's E1 up to x = 50, on the whole array when no element exceeds 50 (every theory grid from 0 dB up);
+    above, the asymptotic series in 1/x by Horner's rule.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x, "exp_e1_scaled")
     if np.any(x <= 0.0):
         raise ValueError("exp_e1_scaled: x must be > 0")
-    out = np.empty_like(x)
     small = x <= 50.0
+    if small.all():
+        return (np.exp(x) * _sp.exp1(x))[()]
+    out = np.empty_like(x)
     out[small] = np.exp(x[small]) * _sp.exp1(x[small])
-    if not np.all(small):
-        t = 1.0 / x[~small]
-        out[~small] = t * np.polynomial.polynomial.polyval(t, _E1_ASYMPTOTIC)
+    t = 1.0 / x[~small]
+    out[~small] = t * np.polynomial.polynomial.polyval(t, _E1_ASYMPTOTIC)
     return out[()]

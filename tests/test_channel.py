@@ -19,12 +19,54 @@ from dafrelay.channel import (
     rayleigh_pdf,
     validate_stats,
 )
-from dafrelay.channel import _AR1_BLOCK, _HIST_EDGES, _HIST_MASSES, _N_SINUSOIDS, _ar1, _crandn
+from dafrelay.channel import (
+    _AR1_BLOCK,
+    _AR1_COLUMN_ROWS,
+    _AR1_SCAN_COLUMNS,
+    _HIST_EDGES,
+    _HIST_MASSES,
+    _N_SINUSOIDS,
+    _ar1,
+    _ar1_scan,
+    _crandn,
+)
 from dafrelay.specials import bessel_j0
 
 
 def rng_for(*entropy):
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
+
+
+# The AR(1) scan sums each block in another order than the plain loop h[k] = a*h[k-1] + x[k-1].  With |a| <= 1,
+# either one's rounding errors add up over at most the 4500 steps of a row here, like a random walk of
+# sqrt(4500) * eps ~ 1.5e-14 of max|h|; observed differences stay below 1.5e-14 of max|h| up to 10^5 + 1 steps.
+# So the scan must agree with an oracle to SCAN_RTOL * max|oracle| (about 70 times that walk); the column loop
+# bit for bit.
+SCAN_RTOL = 1e-12
+
+
+def assert_scan_matches(h, ref):
+    assert h.shape == ref.shape
+    np.testing.assert_allclose(h, ref, rtol=0, atol=SCAN_RTOL * np.abs(ref).max())
+
+
+def ar1_loop(a, h0, x):
+    """Oracle: h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], one column at a time."""
+    h = np.empty((len(h0), x.shape[1] + 1), dtype=complex)
+    h[:, 0] = h0
+    for k in range(1, h.shape[1]):
+        h[:, k] = a * h[:, k - 1] + x[:, k - 1]
+    return h
+
+
+def ar1_lfilter(a, h0, x):
+    """Oracle: one complex lfilter over every row at once."""
+    from scipy.signal import lfilter
+
+    h = np.empty((len(h0), x.shape[1] + 1), dtype=complex)
+    h[:, 0] = h0
+    h[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * h[:, :1])
+    return h
 
 
 class TestSpecsAndScenarios:
@@ -105,48 +147,66 @@ class TestSingleLinkGenerators:
         rng, ref_rng = rng_for(24), rng_for(24)
         h = gen_fading(spec, length, rng, realizations)
         a = autocorr(spec)
-        ref = np.empty((realizations, length), dtype=complex)
-        ref[:, 0] = _crandn(ref_rng, realizations)
-        x = _crandn(ref_rng, (realizations, length - 1), np.sqrt(1.0 - a * a))
-        for k in range(1, length):
-            ref[:, k] = a * ref[:, k - 1] + x[:, k - 1]
-        assert np.array_equal(h, ref)
+        h0 = _crandn(ref_rng, realizations)
+        ref = ar1_loop(a, h0, _crandn(ref_rng, (realizations, length - 1), np.sqrt(1.0 - a * a)))
+        assert_scan_matches(h, ref)
+        if length == 1 or a == 1.0:  # no input to sum, or a scan that adds zeros to h0
+            assert np.array_equal(h, ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
-    @pytest.mark.parametrize("length", [10, 1001])  # stepped by column, and lfilter on the float view
+    @pytest.mark.parametrize("length", [10, 1001])  # stepped by column, and scanned
     def test_ar1_blocks_match_one_lfilter(self, length):
         # oracle: one complex lfilter over every row at once; the row count is not a multiple of the block
-        from scipy.signal import lfilter
-
         rows = 3 * (_AR1_BLOCK // length) + 7
         rng = rng_for(25)
         h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        a = 0.97
-        ref = np.empty((rows, length), dtype=complex)
-        ref[:, 0] = h0
-        ref[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * ref[:, :1])
-        assert np.array_equal(_ar1(a, h0, x).view(np.uint64), ref.view(np.uint64))
+        h, ref = _ar1(0.97, h0, x), ar1_lfilter(0.97, h0, x)
+        assert_scan_matches(h, ref)
+        if length == 10:
+            assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("length", [10, 256])
-    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])  # a wide block, then tall ones
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_ar1_matches_loop_and_lfilter_at_the_square(self, length, extra_rows):
-        # oracles: the plain loop h[:, k] = a*h[:, k-1] + x[:, k-1], and one complex lfilter over every row
-        from scipy.signal import lfilter
-
+        # small squares, which the column loop would step at several times the scan's cost per sample
         rows = length + extra_rows
         rng = rng_for(26, length, extra_rows + 1)
         h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        a = 0.97
-        loop = np.empty((rows, length), dtype=complex)
-        loop[:, 0] = h0
-        for k in range(1, length):
-            loop[:, k] = a * loop[:, k - 1] + x[:, k - 1]
-        ref = np.empty_like(loop)
-        ref[:, 0] = h0
-        ref[:, 1:], _ = lfilter([1.0], [1.0, -a], x, axis=1, zi=a * ref[:, :1])
-        h = _ar1(a, h0, x)
-        assert np.array_equal(h.view(np.uint64), loop.view(np.uint64))
-        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+        h = _ar1(0.97, h0, x)
+        assert_scan_matches(h, ar1_loop(0.97, h0, x))
+        assert_scan_matches(h, ar1_lfilter(0.97, h0, x))
+
+    @pytest.mark.parametrize("length", [10, 34])  # validate-channel's rows, and the longest a block can step
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])  # scanned, then stepped by column
+    def test_ar1_matches_loop_and_lfilter_at_the_crossover(self, length, extra_rows):
+        rows = _AR1_COLUMN_ROWS * (length - 1 - _AR1_SCAN_COLUMNS) + extra_rows
+        assert rows <= _AR1_BLOCK // length  # one block
+        rng = rng_for(29, length, extra_rows + 1)
+        h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
+        h, loop, ref = _ar1(0.97, h0, x), ar1_loop(0.97, h0, x), ar1_lfilter(0.97, h0, x)
+        assert_scan_matches(h, loop)
+        assert_scan_matches(h, ref)
+        if extra_rows >= 0:
+            assert np.array_equal(h.view(np.uint64), loop.view(np.uint64))
+            assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("a", [0.9998, 1.0, 0.0, -0.4, -0.9])  # a < 0 is J0(2 pi f) for f > 0.383
+    @pytest.mark.parametrize(
+        "rows, length",
+        # one sample per row; blocks of B = 16 samples, a partial one, and three levels of carries past
+        # B^2 + 1 samples (4500 = 16 * 281 + 4); a single row
+        [(3, 2), (3, 16), (3, 17), (2, 18), (3, 50), (2, 4500), (1, 4500), (1, 2)],
+    )
+    def test_ar1_scan_matches_loop(self, a, rows, length):
+        # the scan alone, on shapes that the column loop takes inside _ar1
+        rng = rng_for(30, rows, length)
+        h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
+        h = np.empty((rows, length), dtype=complex)
+        h[:, 0] = h0
+        _ar1_scan(a, h, x)
+        assert_scan_matches(h, ar1_loop(a, h0, x))
+        if a == 0.0:  # one term per output: h[k] = x[k-1]
+            assert np.array_equal(h[:, 1:], x)
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_ar1_of_length_one_is_h0(self, rows):
@@ -154,7 +214,7 @@ class TestSingleLinkGenerators:
         h = _ar1(0.97, h0, np.empty((rows, 0), dtype=complex))
         assert h.shape == (rows, 1) and np.array_equal(h[:, 0], h0)
 
-    @pytest.mark.parametrize("rows, length", [(30, 10), (3, 10)])  # stepped by column, and lfilter
+    @pytest.mark.parametrize("rows, length", [(30, 10), (3, 10), (320, 10), (2, 4500)])  # scanned, or by column
     def test_ar1_holds_h0_at_unit_a_without_input(self, rows, length):
         h0 = _crandn(rng_for(28), rows)
         h = _ar1(1.0, h0, np.zeros((rows, length - 1), dtype=complex))
@@ -271,7 +331,9 @@ class TestCascadedChannel:
         for k in range(1, length):
             ref[:, k] = a * ref[:, k - 1] + e_sr[:, k - 1] * ref_rd[:, k - 1]
         assert np.array_equal(h_rd, ref_rd)
-        assert np.array_equal(h, ref)
+        assert_scan_matches(h, ref)
+        if length == 10:  # 1000 rows of 10, stepped by column
+            assert np.array_equal(h, ref)
 
 
 class TestEnvelopeDistribution:

@@ -140,25 +140,6 @@ class TestCombineDetect:
         assert np.allclose(zeta, expected, atol=0)
         assert zeta.shape == (2,)
 
-    def test_detect_bpsk(self):
-        # one-symbol frames against the pattern 0: the errors are the decided patterns
-        c = Constellation.of(2)
-        zeta = np.array([[3.0 + 0.1j], [-2.0 + 5.0j], [0.5 - 1.0j]])
-        assert frame_bit_errors(zeta, np.zeros((3, 1), dtype=np.uint8), c).tolist() == [0, 1, 0]
-
-    def test_detect_qpsk_quadrants(self):
-        # symbol indices 0, 1, 2, 3 carry the Gray patterns 0, 1, 3, 2
-        c = Constellation.of(4)
-        zeta = np.array([[2.0], [3.0j], [-1.5], [-0.5j]])
-        assert frame_bit_errors(zeta, np.zeros((4, 1), dtype=np.uint8), c).tolist() == [0, 1, 2, 1]
-        assert frame_bit_errors(zeta, np.array([[0], [1], [3], [2]]), c).tolist() == [0, 0, 0, 0]
-
-    def test_detect_tie_breaks_to_lowest_index(self):
-        # zeta = 0 gives all candidates the same score, so the decision is index 0, pattern 0
-        for M in (2, 4):
-            c = Constellation.of(M)
-            assert frame_bit_errors(np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=np.uint8), c)[0] == 0
-
     def test_noiseless_end_to_end_recovery(self):
         # static unit channels, no noise: any scheme recovers the data exactly
         c = Constellation.of(4)
@@ -212,9 +193,28 @@ def tie_heavy_zetas(draw):
 
 
 class TestFrameBitErrors:
+    def test_bpsk_errors_are_the_decided_patterns(self):
+        # one-symbol frames against the pattern 0: the errors are the decided patterns
+        c = Constellation.of(2)
+        zeta = np.array([[3.0 + 0.1j], [-2.0 + 5.0j], [0.5 - 1.0j]])
+        assert frame_bit_errors(zeta, np.zeros((3, 1), dtype=np.uint8), c).tolist() == [0, 1, 0]
+
+    def test_qpsk_errors_follow_the_gray_quadrants(self):
+        # symbol indices 0, 1, 2, 3 carry the Gray patterns 0, 1, 3, 2
+        c = Constellation.of(4)
+        zeta = np.array([[2.0], [3.0j], [-1.5], [-0.5j]])
+        assert frame_bit_errors(zeta, np.zeros((4, 1), dtype=np.uint8), c).tolist() == [0, 1, 2, 1]
+        assert frame_bit_errors(zeta, np.array([[0], [1], [3], [2]]), c).tolist() == [0, 0, 0, 0]
+
+    def test_ties_decide_the_lowest_index(self):
+        # zeta = 0 gives all candidates the same score, so the decision is index 0, pattern 0
+        for M in (2, 4):
+            c = Constellation.of(M)
+            assert frame_bit_errors(np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=np.uint8), c)[0] == 0
+
     @settings(max_examples=300)
     @given(tie_heavy_zetas(), st.sampled_from([2, 4]))
-    def test_fast_decisions_match_detect(self, zeta, M):
+    def test_errors_match_argmax_decisions(self, zeta, M):
         # each symbol is a one-symbol frame; its errors against every possible pattern d are
         # popcount(d ^ decision), which pins the decision down
         c = Constellation.of(M)
