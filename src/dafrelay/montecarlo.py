@@ -166,11 +166,8 @@ class _Point:
         data, y_sd, y_rd, h_rd = self.chunk(i)
         d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
         del y_sd, y_rd
-        counts = []
-        for scheme in self.schemes:
-            zeta = receiver.scheme_weights(scheme, *self.alphas, self.pa.P0, self.pa.A, h_rd).apply(d_sd, d_rd)
-            counts.append(int(receiver.frame_bit_errors(zeta, data, self.const).sum()))
-        return counts
+        weights = [receiver.scheme_weights(s, *self.alphas, self.pa.P0, self.pa.A, h_rd) for s in self.schemes]
+        return receiver.bit_errors(weights, d_sd, d_rd, data, self.const)
 
     def stopped(self):
         return min(self.errors.values()) >= self.config.min_bit_errors

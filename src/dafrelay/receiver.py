@@ -16,6 +16,7 @@ __all__ = [
     "scheme_weights",
     "diff_products",
     "frame_bit_errors",
+    "bit_errors",
 ]
 
 
@@ -106,3 +107,17 @@ def frame_bit_errors(zeta, data, constellation: Constellation):
     bit1 = (a < -b) != (data >= 2)
     bit0 = ((a < b) | ((a == b) & (a < 0))) != (data & 1).astype(bool)
     return np.count_nonzero(bit1, axis=-1) + np.count_nonzero(bit0, axis=-1)
+
+
+def bit_errors(weights, d_sd, d_rd, data, constellation: Constellation) -> list[int]:
+    """Total bit errors of the decisions on zeta = w.apply(d_sd, d_rd) for each CombinerWeights w of `weights`.
+
+    The counts are those of `frame_bit_errors`, summed over the frames.  At M = 2 the decision reads only
+    a = Re zeta, so each w combines the contiguous real parts, b0 Re d_sd + b1 Re d_rd, against data == 1
+    formed once: Re((b + 0j) d) = b Re d, so a keeps its bits up to the sign of a zero, which a < 0 does not see.
+    """
+    if constellation.M != 2:
+        return [int(frame_bit_errors(w.apply(d_sd, d_rd), data, constellation).sum()) for w in weights]
+    re_sd, re_rd = np.ascontiguousarray(d_sd.real), np.ascontiguousarray(d_rd.real)
+    ones = data == 1
+    return [int(np.count_nonzero((w.apply(re_sd, re_rd) < 0) != ones)) for w in weights]

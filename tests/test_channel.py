@@ -26,9 +26,11 @@ from dafrelay.channel import (
     _HIST_EDGES,
     _HIST_MASSES,
     _N_SINUSOIDS,
+    _PHASOR_SPLIT,
     _ar1,
     _ar1_scan,
     _crandn,
+    _phasors,
 )
 from dafrelay.specials import bessel_j0
 
@@ -231,8 +233,12 @@ class TestSingleLinkGenerators:
 
     @pytest.mark.parametrize(
         "length, realizations, f",
-        # (100001, 2): its 316 block rows are split into several gemm groups
-        [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, 1, 0.05), (100001, 2, 0.05)],
+        # (100001, 2): its 316 block rows are split into several gemm groups.  Phasor tables of B columns and
+        # nb rows, built directly below _PHASOR_SPLIT = 12 angles and as coarse x fine products from it: 2 and 37
+        # (B = 2, 7) directly; 130 (B = 12, nb = 11) splits only the columns, into 4 x 3; 300 (18, 17) and
+        # 5003 (71, 71) split both tables into a product longer than the table (5 x 4 = 20, 9 x 8 = 72)
+        [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, 1, 0.05), (100001, 2, 0.05), (2, 5, 0.05),
+         (37, 4, 0.05), (130, 4, 0.3), (300, 4, 0.05), (5003, 3, 0.05)],
     )
     def test_sos_matches_cosine_sum(self, length, realizations, f):
         # oracle: the classical improved-Jakes form, one cos per sinusoid and sample,
@@ -252,6 +258,23 @@ class TestSingleLinkGenerators:
         assert h.shape == ref.shape
         np.testing.assert_allclose(h, ref, rtol=0, atol=1e-10)
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("step, count", [(317, 319), (1, 317), (317, _PHASOR_SPLIT - 1)])
+    def test_phasors_match_exp(self, step, count):
+        # a 100001-sample frame has B = 317 and 11 gemm groups of 29 block rows: its row table (317, 319) reaches
+        # pi * 317 * 318 + pi ~ 3.2e5 rad as f -> 0.5, and its column table is (1, 317); (317, 11) is built
+        # directly.  np.exp rounds its angle once (eps/2 of it), _phasors a coarse angle twice, and cos, sin and
+        # the product add a few eps: the bound is 4 eps (|angle| + 1) per element (at most 1.25 eps (|angle| + 1)
+        # seen)
+        rng = rng_for(31)
+        w = 2 * np.pi * 0.4999 * np.cos(rng.uniform(-np.pi, np.pi, (3, _N_SINUSOIDS)))
+        w[0, 0] = 2 * np.pi * 0.4999
+        phase = rng.uniform(-np.pi, np.pi, w.shape)
+        angle = w[..., None] * (step * np.arange(count)) + phase[..., None]
+        t = _phasors(w, step, count, phase)
+        assert t.shape == (3, 2 * _N_SINUSOIDS, count)
+        err = np.abs(t[:, :_N_SINUSOIDS] + 1j * t[:, _N_SINUSOIDS:] - np.exp(1j * angle))
+        assert np.all(err <= 4 * np.finfo(float).eps * (np.abs(angle) + 1))
 
     def test_sos_lag_profile_tracks_j0(self):
         # lag-k autocorrelation follows J0(2 pi f k) for k <= 20 within 0.02

@@ -512,3 +512,19 @@ def test_frame_errors_match_combine_detect(M, cascade):
             assert errors.shape == (16,)
             assert np.array_equal(errors, ref)
             assert ref.sum() > 0
+
+
+@pytest.mark.parametrize("generator", list(FadingGenerator))
+def test_bpsk_chunk_errors_match_frame_bit_errors(generator):
+    # at M = 2 a chunk's counts come from b0 Re d_sd + b1 Re d_rd, against frame_bit_errors on the complex
+    # combiner output, for every scheme on seeded chunks
+    scn = SCENARIOS["III"]
+    point = _Point(RunConfig(scn, M=2, frame_len=1000, generator=generator, frames_per_chunk=8), 20.0, list(Scheme))
+    alpha_sd, alpha = scn.autocorrs()
+    for chunk_index in range(3):
+        data, y_sd, y_rd, h_rd = point.chunk(chunk_index)
+        d_sd, d_rd = diff_products(y_sd, y_rd)
+        expected = [int(frame_bit_errors(scheme_weights(scheme, alpha_sd, alpha, point.pa.P0, point.pa.A, h_rd)
+                                         .apply(d_sd, d_rd), data, point.const).sum()) for scheme in Scheme]
+        assert point.chunk_errors(chunk_index) == expected
+        assert min(expected) > 0

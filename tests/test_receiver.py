@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import ZeroRng, argmax_decisions
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
 from dafrelay.receiver import (
+    CombinerWeights,
     Scheme,
+    bit_errors,
     diff_products,
     frame_bit_errors,
     scheme_weights,
@@ -223,3 +225,23 @@ class TestFrameBitErrors:
         for d in range(M):
             errors = frame_bit_errors(zeta[:, None], np.full((zeta.size, 1), d), c)
             assert errors.tolist() == [bin(d ^ int(g)).count("1") for g in expected]
+
+
+class TestBitErrors:
+    def test_bpsk_real_parts_of_zero_decide_as_the_complex_combiner(self):
+        # each sign of a zero real part, with imaginary parts +-1, on both branches, and real parts +-1: Re zeta
+        # is then +-0 or +-b, and b0 Re d_sd + b1 Re d_rd may differ from Re(w.apply(d_sd, d_rd)) only in the
+        # sign of a zero, which decides pattern 0 either way
+        re = np.array([0.0, -0.0, 1.0, -1.0])
+        re_sd, im_sd, re_rd, im_rd = (v.ravel() for v in np.meshgrid(re, [1.0, -1.0], re, [1.0, -1.0]))
+        d_sd, d_rd = np.empty((2, 1, re_sd.size), dtype=complex)
+        d_sd.real, d_sd.imag, d_rd.real, d_rd.imag = re_sd, im_sd, re_rd, im_rd
+        c = Constellation.of(2)
+        weights = [CombinerWeights(0.5, 0.25), CombinerWeights(0.5, 0.5),
+                   CombinerWeights(0.3, np.full(d_rd.shape, 0.3))]
+        negative = np.count_nonzero(0.5 * re_sd + 0.25 * re_rd < 0)
+        for d in (0, 1):
+            data = np.full(d_sd.shape, d, dtype=np.uint8)
+            expected = [int(frame_bit_errors(w.apply(d_sd, d_rd), data, c).sum()) for w in weights]
+            assert bit_errors(weights, d_sd, d_rd, data, c) == expected
+            assert expected[0] == (negative if d == 0 else re_sd.size - negative)
