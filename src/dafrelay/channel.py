@@ -5,9 +5,12 @@ lag-1 autocorrelation is exact by construction, and an improved-Jakes
 sum-of-sinusoids simulator whose autocorrelation tracks J0(2*pi*f*k), with the
 draws and terms of the classical cosine form summed as a matmul over k = b*B + j.
 The AR(1) link and the one-term cascade approximation share one generator (`_gen_ar1`),
-the cascade's driven by h_rd.  Its recursion (`_ar1`) runs as a blocked linear scan, one
-real matmul per block of samples, or column by column on blocks of many short rows.
-A link used every n-th symbol (n = 2 for symbol-by-symbol transmission) is the link at n*f.
+the cascade's driven by h_rd.  Its recursion (`_ar1_blocks`) runs over blocks of rows,
+drawing each block's innovations as it goes, as a blocked linear scan, one real matmul
+per block of samples, or column by column on blocks of many short rows.  Both cascade
+models (`_cascade`) write block by block into a given output, which may be h_rd's own
+buffer.  A link used every n-th symbol (n = 2 for symbol-by-symbol transmission) is the
+link at n*f.
 
 Every generator returns a batch of independent realizations, shape
 (realizations, length), one per row.  Statistical validation of strongly correlated
@@ -143,8 +146,13 @@ _SCAN_B = 16
 _SCAN_GEMM_ROWS = 128
 
 
-def _ar1(a, h0, x):
-    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], over blocks of rows.
+def _ar1_blocks(a, h0, inputs, length, out=None):
+    """Yield (rows, h) for each block of rows of h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], in row order.
+
+    `inputs(rows)` returns the block's input x[rows], of shape (block rows, length - 1).  It is called before
+    any of the block's samples is written, so it may draw the input from a stream, or form it from rows of
+    `out` that the block then overwrites.  h is out[rows], or without `out` the block's rows of one buffer
+    that every block reuses, so h holds until the next block is made.
 
     A block of many short rows (rows >= _AR1_COLUMN_ROWS * (columns - _AR1_SCAN_COLUMNS), as validate-channel's
     rows of 10 samples) is stepped by column, two numpy calls per column, with the bits of the plain loop, also
@@ -153,13 +161,25 @@ def _ar1(a, h0, x):
     with the columns; it matches the plain loop to about 1e-14 of max|h| rather than bit for bit, and also
     holds h0 exactly at a = 1 with zero input.
     """
-    n, length = len(h0), x.shape[1] + 1
-    h = np.empty((n, length), dtype=complex)
-    h[:, 0] = h0
+    n = len(h0)
     rows = max(1, _AR1_BLOCK // length)
     step = _ar1_columns if min(n, rows) >= _AR1_COLUMN_ROWS * (length - 1 - _AR1_SCAN_COLUMNS) else _ar1_scan
+    scratch = np.empty((min(n, rows), length), dtype=complex) if out is None else None
     for i in range(0, n, rows):
-        step(a, h[i:i + rows], x[i:i + rows])
+        block = slice(i, min(i + rows, n))
+        x = inputs(block)
+        h = out[block] if scratch is None else scratch[:len(x)]
+        h[:, 0] = h0[block]
+        step(a, h, x)
+        del x  # the next block's input is made without this one
+        yield block, h
+
+
+def _ar1(a, h0, x):
+    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1]: `_ar1_blocks` of the input array x."""
+    h = np.empty((len(h0), x.shape[1] + 1), dtype=complex)
+    for _ in _ar1_blocks(a, h0, x.__getitem__, h.shape[1], h):
+        pass
     return h
 
 
@@ -213,20 +233,35 @@ def _ar1_scan(a, block, x):
     block[:, 1:] = (buf @ k).reshape(-1, width)[:total].view(complex).reshape(n, -1)[:, :m]
 
 
-def _gen_ar1(alpha, length, rng, n_real, gain=None):
-    """h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1] from CN(0,1) draws: h[0] = e_0, then every e.
+def _gen_ar1_blocks(alpha, length, rng, n_real, gain=None, out=None):
+    """`_ar1_blocks` of h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1] from CN(0,1) draws: h[0] = e_0, then every e.
 
-    A (n_real, length) `gain` drives the recursion: h[0] = e_0*gain[0] and the input is
-    (sqrt(1-alpha^2)*e[k-1])*gain[k-1], both formed in the buffers of the draws.
+    h0 is drawn at the call, and each block's innovations as the block runs, at their scale: SFC64 fills its
+    draws in order, so this is the stream of drawing every innovation at once, with no array of them all.  A
+    (n_real, length) `gain` drives the recursion: h[0] = e_0*gain[0] and the input is
+    (sqrt(1-alpha^2)*e[k-1])*gain[k-1], both formed in the buffers of the draws, a block's before its rows
+    are written, so `out` may be gain itself.
     """
     h0 = _crandn(rng, n_real)
-    x = _crandn(rng, (n_real, length - 1), np.sqrt(max(0.0, 1.0 - alpha * alpha)))
     if gain is not None:
-        # in place, after both draws: a new h0 formed between them kept ~28 MB more of glibc's heap in
-        # validate-channel's peak RSS, with the same bits
         h0 *= gain[:, 0]
-        x *= gain[:, :-1]
-    return _ar1(alpha, h0, x)
+    scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
+
+    def inputs(rows):
+        x = _crandn(rng, (rows.stop - rows.start, length - 1), scale)
+        if gain is not None:
+            x *= gain[rows, :-1]
+        return x
+
+    return _ar1_blocks(alpha, h0, inputs, length, out)
+
+
+def _gen_ar1(alpha, length, rng, n_real, gain=None, out=None):
+    """The rows of `_gen_ar1_blocks`, written into `out` (a new array if None), which is returned."""
+    out = np.empty((n_real, length), dtype=complex) if out is None else out
+    for _ in _gen_ar1_blocks(alpha, length, rng, n_real, gain, out):
+        pass
+    return out
 
 
 _N_SINUSOIDS = 16  # sinusoid pairs; keeps autocorr error below test tolerances
@@ -321,17 +356,36 @@ def gen_cascaded(spec_sr: FadingSpec, spec_rd: FadingSpec, kind: CascadedModelKi
                  realizations: int):
     """Generate the cascaded source-relay-destination channel, shape (realizations, length).
 
-    Returns (h, h_rd), h_rd drawn first.  EXACT_PRODUCT multiplies two independently generated
-    links elementwise.  APPROXIMATE is the one-term recursion
-    h[k] = a*h[k-1] + (sqrt(1-a^2)*e_sr[k-1])*h_rd[k-1] with a = a_sr*a_rd from
-    h[0] = e_0*h_rd[0]: `_gen_ar1` driven by h_rd.  h_rd is returned for the genie combiner.
+    Returns (h, h_rd), h_rd drawn first and then `_cascade` driven by it, into a new array.
+    h_rd is returned for the genie combiner.
     """
     h_rd = gen_fading(spec_rd, length, rng, realizations)
-    if kind is CascadedModelKind.EXACT_PRODUCT:
-        h = gen_fading(spec_sr, length, rng, realizations)
-        h *= h_rd
-        return h, h_rd
-    return _gen_ar1(autocorr(spec_sr) * autocorr(spec_rd), length, rng, realizations, gain=h_rd), h_rd
+    return _cascade(spec_sr, spec_rd, kind, h_rd, rng), h_rd
+
+
+def _cascade(spec_sr: FadingSpec, spec_rd: FadingSpec, kind: CascadedModelKind, h_rd, rng, out=None):
+    """The cascade of the drawn h_rd, written row block by row block into `out`, which may be h_rd itself.
+
+    EXACT_PRODUCT multiplies an independently generated h_sr by h_rd elementwise, h_sr * h_rd; an AR(1)
+    h_sr runs by row blocks, each multiplied into out as it is made.  APPROXIMATE is the one-term recursion
+    h[k] = a*h[k-1] + (sqrt(1-a^2)*e_sr[k-1])*h_rd[k-1] with a = a_sr*a_rd from h[0] = e_0*h_rd[0]:
+    `_gen_ar1` driven by h_rd.  Without `out`, the product is made in h_sr's buffer and the recursion in a
+    new array.  Returns the cascade.
+    """
+    n_real, length = h_rd.shape
+    if kind is CascadedModelKind.APPROXIMATE:
+        return _gen_ar1(autocorr(spec_sr) * autocorr(spec_rd), length, rng, n_real, gain=h_rd, out=out)
+    if spec_sr.generator is FadingGenerator.AR1:
+        out = np.empty_like(h_rd) if out is None else out
+        # h_sr's blocks go to out's rows, unless those may be h_rd's
+        rows_out = None if np.may_share_memory(out, h_rd) else out
+        blocks = _gen_ar1_blocks(autocorr(spec_sr), length, rng, n_real, out=rows_out)
+    else:
+        h_sr = _gen_sos(spec_sr.f, length, rng, n_real)
+        out, blocks = h_sr if out is None else out, [(slice(None), h_sr)]
+    for rows, h_sr in blocks:
+        np.multiply(h_sr, h_rd[rows], out=out[rows])
+    return out
 
 
 def envelope_pdf_theoretical(lam):

@@ -29,7 +29,9 @@ from dafrelay.channel import (
     _PHASOR_SPLIT,
     _ar1,
     _ar1_scan,
+    _cascade,
     _crandn,
+    _gen_ar1,
     _phasors,
 )
 from dafrelay.specials import bessel_j0
@@ -222,6 +224,34 @@ class TestSingleLinkGenerators:
         h = _ar1(1.0, h0, np.zeros((rows, length - 1), dtype=complex))
         assert np.array_equal(h, np.repeat(h0[:, None], length, axis=1))
 
+    @pytest.mark.parametrize("gained", [False, True])
+    @pytest.mark.parametrize(
+        "rows, length",
+        # 4 blocks of up to 6553 rows of 10, stepped by column; 3 blocks of one row of 70001, scanned
+        [(20_000, 10), (3, 70_001)],
+    )
+    def test_gen_ar1_draws_each_block_as_one_draw_would(self, gained, rows, length):
+        # oracle: h0, then every innovation in one draw at its scale, each times the gain, through the plain
+        # loop; the generator draws each block's innovations as the block runs
+        alpha = 0.97
+        gain = gen_fading(FadingSpec(0.01), length, rng_for(31), rows) if gained else None
+        rng, ref_rng = rng_for(32), rng_for(32)
+        h = _gen_ar1(alpha, length, rng, rows, gain)
+        h0 = _crandn(ref_rng, rows)
+        x = _crandn(ref_rng, (rows, length - 1), np.sqrt(1.0 - alpha * alpha))
+        if gained:
+            h0 *= gain[:, 0]
+            x *= gain[:, :-1]
+        assert rows > _AR1_BLOCK // length  # several blocks
+        ref = ar1_loop(alpha, h0, x)
+        assert_scan_matches(h, ref)
+        if length == 10:
+            assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(h.view(np.uint64), _ar1(alpha, h0, x).view(np.uint64))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        if gained:  # in the gain's own buffer: each block's input is formed before its rows are written
+            assert np.array_equal(_gen_ar1(alpha, length, rng_for(32), rows, gain, out=gain), h)
+
     def test_ar1_moments_and_lag1(self):
         # f = 0.01, 10^6 samples: variance 1 +/- 0.01, lag-1 within 0.01 of J0
         spec = FadingSpec(0.01, generator=FadingGenerator.AR1)
@@ -335,6 +365,33 @@ class TestCascadedChannel:
         )
         delta = h[:, 1:] - alpha * h[:, :-1]
         assert np.mean(np.abs(delta) ** 2) == pytest.approx(1.0 - alpha**2, abs=0.01)
+
+    @pytest.mark.parametrize("kind", list(CascadedModelKind))
+    @pytest.mark.parametrize("generator", list(FadingGenerator))
+    @pytest.mark.parametrize("length, realizations", [(10, 20_000), (1001, 200), (70_001, 2)])
+    def test_cascade_in_h_rd_buffer_matches_gen_cascaded(self, kind, generator, length, realizations):
+        # built row block by row block into h_rd's own buffer, the cascade has gen_cascaded's bits, and leaves
+        # the stream where gen_cascaded leaves it
+        spec_sr, spec_rd = FadingSpec(0.05, generator), FadingSpec(0.01, generator)
+        rng, ref_rng = rng_for(33), rng_for(33)
+        ref, ref_rd = gen_cascaded(spec_sr, spec_rd, kind, length, ref_rng, realizations)
+        h_rd = gen_fading(spec_rd, length, rng, realizations)
+        assert np.array_equal(h_rd, ref_rd)
+        h = _cascade(spec_sr, spec_rd, kind, h_rd, rng, out=h_rd)
+        assert h is h_rd
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("generator", list(FadingGenerator))
+    def test_exact_product_is_h_sr_times_h_rd(self, generator):
+        # oracle: the two links drawn one after the other, multiplied in h_sr's order
+        spec_sr, spec_rd = FadingSpec(0.05, generator), FadingSpec(0.01, generator)
+        h, h_rd = gen_cascaded(spec_sr, spec_rd, CascadedModelKind.EXACT_PRODUCT, 10, rng_for(34), 20_000)
+        rng = rng_for(34)
+        ref_rd = gen_fading(spec_rd, 10, rng, 20_000)
+        ref = gen_fading(spec_sr, 10, rng, 20_000) * ref_rd
+        assert np.array_equal(h_rd, ref_rd)
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("length, realizations", [(1001, 64), (10, 1000), (30, 1)])
     def test_approximate_matches_symbol_loop(self, length, realizations):

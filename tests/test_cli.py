@@ -1,14 +1,18 @@
 """Command-line interface: CSV contract, config handling, exit codes."""
 
+import importlib.util
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dafrelay import analysis, cli
+from dafrelay import analysis, cli, montecarlo
+from dafrelay.channel import SCENARIOS, CascadedModelKind, FadingSpec, seeded_rng
 from dafrelay.cli import (
     CSV_HEADER,
     EXIT_NUMERIC,
@@ -18,6 +22,12 @@ from dafrelay.cli import (
     parse_grid,
     read_config_file,
 )
+
+TOOL = Path(__file__).parents[1] / "tools" / "seeded_outputs.py"
+spec = importlib.util.spec_from_file_location("seeded_outputs", TOOL)
+seeded_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(seeded_outputs)
+
 
 FAST_CFG = """
 # fast smoke-test configuration
@@ -276,6 +286,74 @@ class TestValidateChannelCommand:
         assert main(["validate-channel", "--scenario", "I", "--samples", "100"]) == EXIT_USAGE
 
 
+def exact_finishing_last(fn):
+    """`fn` as validate-channel's model function, with the exact model held until the other one has returned."""
+    approx_done = threading.Event()
+
+    def wrapper(kind, *args):
+        result = fn(kind, *args)
+        if kind is CascadedModelKind.APPROXIMATE:
+            approx_done.set()
+        else:
+            assert approx_done.wait(60), "the one-term model did not finish"
+        return result
+
+    return wrapper
+
+
+class TestValidateChannelModels:
+    ARGV = ["validate-channel", "--scenario", "II", "--samples", "123457", "--seed", "12345"]
+
+    def report_and_raw(self, monkeypatch, capsys, workers, exact_last=False):
+        """The report on stdout and the seeded-outputs tool's raw file, with `workers` usable CPUs."""
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        models = exact_finishing_last(cli._validate_model) if exact_last else cli._validate_model
+        results = {}
+        monkeypatch.setattr(cli, "_validate_model", seeded_outputs.recorded(models, results))
+        assert main(self.ARGV) == 0
+        return capsys.readouterr().out, seeded_outputs.validate_raw(results)
+
+    def test_report_does_not_depend_on_the_cpu_count_or_finish_order(self, monkeypatch, capsys):
+        # the exact model runs on the calling thread and the one-term model on a helper thread; held until
+        # the helper's model has returned, the exact one finishes last, and the report and the raw file still
+        # list the models in model order
+        one = self.report_and_raw(monkeypatch, capsys, 1)
+        assert self.report_and_raw(monkeypatch, capsys, 2) == one
+        assert self.report_and_raw(monkeypatch, capsys, 2, exact_last=True) == one
+        assert one[0].index("model=exact") < one[0].index("model=approx")
+        assert one[1].decode().splitlines()[0].startswith("model=exact")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_helper_thread_runs_the_one_term_model_where_two_cpus_are_usable(self, monkeypatch, workers):
+        validate_model, threads = cli._validate_model, {}
+
+        def model(kind, *args):
+            threads[kind] = threading.current_thread()
+            return validate_model(kind, *args)
+
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        monkeypatch.setattr(cli, "_validate_model", model)
+        assert main(self.ARGV) == 0
+        assert threads[CascadedModelKind.EXACT_PRODUCT] is threading.main_thread()
+        assert (threads[CascadedModelKind.APPROXIMATE] is threading.main_thread()) == (workers == 1)
+
+    @pytest.mark.parametrize("kind", list(CascadedModelKind))
+    def test_model_working_set(self, kind):
+        # one model at 10^5 rows of 10 samples, the cascade built in h_rd's buffer from innovations drawn per
+        # row block: h_rd, h0 (a tenth of it), a block's draws and validate_stats' block temporaries
+        scn = SCENARIOS["III"]
+        specs = FadingSpec(scn.f_sr), FadingSpec(scn.f_rd)
+        cli._validate_model(kind, *specs, 10, 10**5, seeded_rng([3, 1]))  # one-time allocations
+        tracemalloc.start()
+        try:
+            stats, (_, p) = cli._validate_model(kind, *specs, 10, 10**5, seeded_rng([3, 1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.variance == pytest.approx(1.0, abs=0.05) and 0.0 <= p <= 1.0
+        assert peak <= 1.3 * np.empty((10**5, 10), dtype=complex).nbytes
+
+
 IMPORT_PROBE = """
 import os, sys
 sys.path.insert(0, sys.argv[1])
@@ -327,15 +405,33 @@ class TestDopplerCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def refuse(*args, **kwargs):
+    # numpy raises MemoryError before allocating an array it cannot hold
+    raise MemoryError("Unable to allocate 745. GiB")
+
+
 @pytest.mark.parametrize("target, argv", [
     ("run_sweep", ["sweep", "--scenario", "I", "--m", "2", "--scheme", "tvd", "--pdb", "10"]),
-    ("gen_cascaded", ["validate-channel", "--scenario", "III", "--samples", "20000"]),
+    # validate-channel's first allocation of each model is its h_rd
+    ("gen_fading", ["validate-channel", "--scenario", "III", "--samples", "20000"]),
 ])
 def test_memory_error_exits_usage(monkeypatch, capsys, target, argv):
-    # numpy raises MemoryError before allocating an array it cannot hold
-    def refuse(*args, **kwargs):
-        raise MemoryError("Unable to allocate 745. GiB")
-
     monkeypatch.setattr(cli, target, refuse)
     assert main(argv) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_error_of_the_one_term_model_exits_usage(monkeypatch, capsys, workers):
+    # with two usable CPUs the one-term model runs on the helper thread, whose error reaches the command
+    cascade = cli._cascade
+
+    def refuse_approx(spec_sr, spec_rd, kind, *args, **kwargs):
+        if kind is CascadedModelKind.APPROXIMATE:
+            refuse()
+        return cascade(spec_sr, spec_rd, kind, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    monkeypatch.setattr(cli, "_cascade", refuse_approx)
+    assert main(["validate-channel", "--scenario", "III", "--samples", "20000"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

@@ -12,8 +12,9 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
   `--pdb 0:10:50`, frame_len 1000, max_symbols 1e5, min_bit_errors 300;
 - `validate_<scenario>.txt`: `validate-channel` for I-III, 10^6 samples, seed 3;
 - `validate_raw_<scenario>.txt`: the `repr` of each model's mean, variance and lag-1
-  autocorrelation that run computed, so that a change of one last bit shows, which the
-  printed five decimals hide;
+  autocorrelation that run computed, recorded by model (the two models run on two
+  threads where two CPUs are usable) and written in model order, so that a change of
+  one last bit shows, which the printed five decimals hide;
 - `theory_<scenario>_m<M>.csv`: `sweep --no-sim --scheme all` on 0:0.5:60;
 - `theory_wide_<scenario>_m4.csv`: `sweep --no-sim --scheme tvd --m 4` on -30:0.125:80, 881 points,
   more than one block of the analysis' quadrature pass, down to the lowest power the theory covers;
@@ -28,8 +29,8 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
 - `SHA256SUMS`, one `sha256sum`-format line per output, sorted by name.
 
 To check a change, run this file from the parent checkout and from the change
-(copy it into the parent if it predates it, and the parent has `_Point.chunk`;
-otherwise run the parent's own copy) and compare the two SHA256SUMS.
+(copy it into the parent if it predates it, and the parent has `_Point.chunk` and
+`cli._validate_model`; otherwise run the parent's own copy) and compare the two SHA256SUMS.
 """
 
 import hashlib
@@ -71,20 +72,21 @@ def commands(cfgdir: Path):
                                             "--pdb", "-30:0.125:80"]
 
 
-def recorded(fn, results: list):
-    """`fn`, appending each of its results to `results`."""
+def recorded(fn, results: dict):
+    """`fn`, recording each of its results under its first argument, whichever thread calls it."""
 
-    def wrapper(*args, **kwargs):
-        results.append(fn(*args, **kwargs))
-        return results[-1]
+    def wrapper(key, *args, **kwargs):
+        results[key] = fn(key, *args, **kwargs)
+        return results[key]
 
     return wrapper
 
 
-def validate_raw(stats) -> bytes:
-    """The repr of the mean, variance and lag-1 of each model's ChannelStats, in validate-channel's order."""
+def validate_raw(results: dict) -> bytes:
+    """The repr of the mean, variance and lag-1 of each model's ChannelStats, in validate-channel's model order."""
+    stats = ((kind, results[kind][0]) for kind in channel.CascadedModelKind)
     return "".join(f"model={kind.value} mean={st.mean!r} variance={st.variance!r} lag1={st.lag1_autocorr!r}\n"
-                   for kind, st in zip(channel.CascadedModelKind, stats, strict=True)).encode()
+                   for kind, st in stats).encode()
 
 
 def chunks():
@@ -114,8 +116,8 @@ def main(argv) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     raws = []  # (name, bytes) of the outputs written from in-process results
-    stats = []  # the ChannelStats of the running validate-channel command
-    cli.validate_stats = recorded(cli.validate_stats, stats)
+    stats = {}  # the results of the running validate-channel command's models, by model
+    cli._validate_model = recorded(cli._validate_model, stats)
     sums = []
     with tempfile.TemporaryDirectory() as cfgdir:
         for name, args in commands(Path(cfgdir)):
