@@ -5,12 +5,11 @@ lag-1 autocorrelation is exact by construction, and an improved-Jakes
 sum-of-sinusoids simulator whose autocorrelation tracks J0(2*pi*f*k), with the
 draws and terms of the classical cosine form summed as a matmul over k = b*B + j.
 The AR(1) link and the one-term cascade approximation share one generator (`_gen_ar1`),
-the cascade's driven by h_rd.  Its recursion (`_ar1_blocks`) runs over blocks of rows,
-drawing each block's innovations as it goes, as a blocked linear scan, one real matmul
-per block of samples, or column by column on blocks of many short rows.  Both cascade
-models (`_cascade`) write block by block into a given output, which may be h_rd's own
-buffer.  A link used every n-th symbol (n = 2 for symbol-by-symbol transmission) is the
-link at n*f.
+the cascade's driven by h_rd.  It runs over blocks of rows (`_gen_ar1_blocks`), drawing
+each block's innovations as it goes, and runs every block's recursion as one blocked
+linear scan (`_ar1_scan`), one real matmul per block of samples.  Both cascade models
+(`_cascade`) write block by block into a given output, which may be h_rd's own buffer.
+A link used every n-th symbol (n = 2 for symbol-by-symbol transmission) is the link at n*f.
 
 Every generator returns a batch of independent realizations, shape
 (realizations, length), one per row.  Statistical validation of strongly correlated
@@ -130,130 +129,94 @@ def _crandn(rng, shape, scale=1.0):
     return pairs.view(complex).reshape(shape)
 
 
-# samples per row block of _ar1: the scan's temporaries stay small, and a block stepped by column stays in cache
-_AR1_BLOCK = 1 << 16
-# _ar1 steps a row block by column when rows >= _AR1_COLUMN_ROWS * (columns - _AR1_SCAN_COLUMNS), and scans it
-# otherwise: a scan's fixed cost is that of stepping about 4 columns, and past those the column loop needs about
-# 64 rows per column to keep up.  Measured in ns/sample, column loop vs scan (one BLAS thread, median of 7):
-# 5.1 vs 10.8 at 6553 x 10 (validate-channel's blocks), 7.2 vs 11.1 at 1000 x 10, 223 vs 361 at 8 x 5,
-# 7.8 vs 9.0 at 2048 x 32; 67.8 vs 50.6 at 30 x 10, 11.0 vs 8.9 at 1024 x 64, 61.2 vs 14.4 at 64 x 64.
-# Rows of 35 samples or more never hold enough rows per block of _AR1_BLOCK samples, and always take the scan.
-_AR1_COLUMN_ROWS = 64
-_AR1_SCAN_COLUMNS = 4
-# the scan's samples per block, and block rows per gemm: a (128, 2B + 2) @ (2B + 2, 2B) call stays within
+# samples per row block of the AR(1) generator, which keeps the scan's temporaries of a block small
+_AR1_BLOCK = 1 << 15
+# the scan's longest block, and block rows per gemm: a (128, 2B + 2) @ (2B + 2, 2B) call stays within
 # OpenBLAS's one-thread size, so the bits do not depend on its thread count
 _SCAN_B = 16
 _SCAN_GEMM_ROWS = 128
 
 
-def _ar1_blocks(a, h0, inputs, length, out=None):
-    """Yield (rows, h) for each block of rows of h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1], in row order.
-
-    `inputs(rows)` returns the block's input x[rows], of shape (block rows, length - 1).  It is called before
-    any of the block's samples is written, so it may draw the input from a stream, or form it from rows of
-    `out` that the block then overwrites.  h is out[rows], or without `out` the block's rows of one buffer
-    that every block reuses, so h holds until the next block is made.
-
-    A block of many short rows (rows >= _AR1_COLUMN_ROWS * (columns - _AR1_SCAN_COLUMNS), as validate-channel's
-    rows of 10 samples) is stepped by column, two numpy calls per column, with the bits of the plain loop, also
-    for a = 1 with zero input and for x without columns.  Any other block (the sweeps' frames, and every row of
-    35 samples or more) runs the blocked linear scan of `_ar1_scan`, whose number of numpy calls does not grow
-    with the columns; it matches the plain loop to about 1e-14 of max|h| rather than bit for bit, and also
-    holds h0 exactly at a = 1 with zero input.
-    """
-    n = len(h0)
-    rows = max(1, _AR1_BLOCK // length)
-    step = _ar1_columns if min(n, rows) >= _AR1_COLUMN_ROWS * (length - 1 - _AR1_SCAN_COLUMNS) else _ar1_scan
-    scratch = np.empty((min(n, rows), length), dtype=complex) if out is None else None
-    for i in range(0, n, rows):
-        block = slice(i, min(i + rows, n))
-        x = inputs(block)
-        h = out[block] if scratch is None else scratch[:len(x)]
-        h[:, 0] = h0[block]
-        step(a, h, x)
-        del x  # the next block's input is made without this one
-        yield block, h
-
-
-def _ar1(a, h0, x):
-    """Rows h[:, 0] = h0, h[:, k] = a*h[:, k-1] + x[:, k-1]: `_ar1_blocks` of the input array x."""
-    h = np.empty((len(h0), x.shape[1] + 1), dtype=complex)
-    for _ in _ar1_blocks(a, h0, x.__getitem__, h.shape[1], h):
-        pass
-    return h
-
-
-def _ar1_columns(a, block, x):
-    """block[:, 1:] of the recursion from block[:, 0], one column at a time."""
-    for k in range(1, block.shape[1]):
-        np.multiply(block[:, k - 1], a, out=block[:, k])
-        block[:, k] += x[:, k - 1]
-
-
 @functools.lru_cache(maxsize=64)
-def _scan_kernel(a):
-    """kron([[T], [a^(1..B)]], I2) with T[i, j] = a^(j-i) for j >= i, else 0: shape (2B + 2, 2B), read-only.
+def _scan_kernel(a, b):
+    """kron([[T], [a^(1..b)]], I2) with T[i, j] = a^(j-i) for j >= i, else 0: shape (2b + 2, 2b), read-only.
 
-    Cached per a, 9 KB each, since every chunk of a sweep runs the same few coefficients and their powers a^B.
+    Cached per (a, b), at most 9 KB each, since every chunk of a sweep runs the same few coefficients and
+    their powers.
     """
-    p = np.power(float(a), np.arange(_SCAN_B + 1))
-    lag = np.arange(_SCAN_B) - np.arange(_SCAN_B)[:, None]
+    p = np.power(float(a), np.arange(b + 1))
+    lag = np.arange(b) - np.arange(b)[:, None]
     k = np.kron(np.vstack((np.where(lag >= 0, p[np.maximum(lag, 0)], 0.0), p[1:])), np.eye(2))
     k.flags.writeable = False
     return k
 
 
 def _ar1_scan(a, block, x):
-    """block[:, 1:] of the recursion from block[:, 0], as a blocked linear scan of x's m >= 1 columns.
+    """block[:, 1:] of h[:, 0] = block[:, 0], h[:, k] = a*h[:, k-1] + x[:, k-1], as a blocked linear scan.
 
-    Each row of x is split into blocks of B = _SCAN_B samples, the last one zero-padded.  As a is real, the
-    real and imaginary parts run apart, so on a block's float (re, im) pairs, with the carry c (the value
-    before the block) appended, [x | c] @ `_scan_kernel(a)` is the block run from c.  The carries are
-    themselves an AR(1) with coefficient a^B, from block[:, 0], whose input is each block run from zero to
-    its end (the kernel's last two columns without the carry row): `_ar1` again, on m/B columns.  The
-    (rows x blocks) rows of [x | c] go through the gemms in groups of at most _SCAN_GEMM_ROWS.
+    Each row of x's m columns is split into blocks of B = min(_SCAN_B, m) samples, the last one zero-padded.
+    As a is real, the real and imaginary parts run apart, so on a block's float (re, im) pairs, with the
+    carry c (the value before the block) appended, [x | c] @ `_scan_kernel(a, B)` is the block run from c.
+    A row of one block carries block[:, 0].  The carries of longer rows are themselves an AR(1) with
+    coefficient a^B from block[:, 0], whose input is each block run from zero to its end (the kernel's last
+    two columns without the carry row): `_ar1_scan` again, in place in the carry column, on one column per
+    block but the last.  The (rows x blocks) rows of [x | c] go through the gemms in groups of at most
+    _SCAN_GEMM_ROWS.  It matches the plain loop to about 1e-14 of max|h| rather than bit for bit, holds
+    h0 exactly at a = 1 with zero input, and leaves block as it is when x has no columns.
     """
     n, m = x.shape
-    width = 2 * _SCAN_B  # floats per block
-    full, tail = divmod(m, _SCAN_B)
+    if m == 0:
+        return
+    b = min(_SCAN_B, m)
+    width = 2 * b  # floats per block
+    full, tail = divmod(m, b)
     nb = full + (tail > 0)
     total = n * nb
     groups = -(-total // _SCAN_GEMM_ROWS)
-    k = _scan_kernel(a)
+    k = _scan_kernel(a, b)
     buf = np.empty((groups, -(-total // groups), width + 2))
     rows = buf.reshape(-1, width + 2)
     rows[total:] = 0.0
-    xs = rows[:total, :width].view(complex).reshape(n, nb, _SCAN_B)
-    xs[:, :full] = x[:, :full * _SCAN_B].reshape(n, full, _SCAN_B)
+    xs = rows[:total, :width].view(complex).reshape(n, nb, b)
+    xs[:, :full] = x[:, :full * b].reshape(n, full, b)
     if tail:
-        xs[:, full, :tail] = x[:, full * _SCAN_B:]
+        xs[:, full, :tail] = x[:, full * b:]
         xs[:, full, tail:] = 0.0
-    ends = (buf[..., :width] @ k[:width, -2:]).reshape(-1, 2)[:total].view(complex).reshape(n, nb)
-    rows[:total, width:].view(complex)[:, 0] = _ar1(a**_SCAN_B, block[:, 0], ends[:, :-1]).ravel()
+    carries = rows[:total, width:].view(complex)[:, 0].reshape(n, nb)
+    carries[:, 0] = block[:, 0]
+    if nb > 1:
+        ends = (buf[..., :width] @ k[:width, -2:]).reshape(-1, 2)[:total].view(complex).reshape(n, nb)
+        _ar1_scan(a**b, carries, ends[:, :-1])
     block[:, 1:] = (buf @ k).reshape(-1, width)[:total].view(complex).reshape(n, -1)[:, :m]
 
 
 def _gen_ar1_blocks(alpha, length, rng, n_real, gain=None, out=None):
-    """`_ar1_blocks` of h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1] from CN(0,1) draws: h[0] = e_0, then every e.
+    """Yield (rows, h) for each row block of h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1], h[0] = e_0, in row order.
 
-    h0 is drawn at the call, and each block's innovations as the block runs, at their scale: SFC64 fills its
-    draws in order, so this is the stream of drawing every innovation at once, with no array of them all.  A
-    (n_real, length) `gain` drives the recursion: h[0] = e_0*gain[0] and the input is
-    (sqrt(1-alpha^2)*e[k-1])*gain[k-1], both formed in the buffers of the draws, a block's before its rows
-    are written, so `out` may be gain itself.
+    The CN(0,1) draws are h0 first, then each block's innovations, at their scale, as the block runs:
+    SFC64 fills its draws in order, so this is the stream of drawing every innovation at once, with no
+    array of them all.  A (n_real, length) `gain` drives the recursion: h[0] = e_0*gain[0] and the input
+    is (sqrt(1-alpha^2)*e[k-1])*gain[k-1], both formed in the buffers of the draws, a block's before its
+    rows are written, so `out` may be gain itself.  h is out[rows], or without `out` the block's rows of
+    one buffer that every block reuses, so h holds until the next block is made.  Each block runs
+    `_ar1_scan`.
     """
     h0 = _crandn(rng, n_real)
     if gain is not None:
         h0 *= gain[:, 0]
     scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-
-    def inputs(rows):
-        x = _crandn(rng, (rows.stop - rows.start, length - 1), scale)
+    step = max(1, _AR1_BLOCK // length)
+    scratch = np.empty((min(n_real, step), length), dtype=complex) if out is None else None
+    for i in range(0, n_real, step):
+        rows = slice(i, min(i + step, n_real))
+        x = _crandn(rng, (rows.stop - i, length - 1), scale)
         if gain is not None:
             x *= gain[rows, :-1]
-        return x
-
-    return _ar1_blocks(alpha, h0, inputs, length, out)
+        h = out[rows] if scratch is None else scratch[:len(x)]
+        h[:, 0] = h0[rows]
+        _ar1_scan(alpha, h, x)
+        del x  # the next block's input is drawn without this one
+        yield rows, h
 
 
 def _gen_ar1(alpha, length, rng, n_real, gain=None, out=None):
@@ -268,30 +231,19 @@ _N_SINUSOIDS = 16  # sinusoid pairs; keeps autocorr error below test tolerances
 # output elements of one gemm in _gen_sos: the (100, 2N) @ (2N, 101) call of a 10^4-sample frame.
 # OpenBLAS runs larger calls on several threads, which stall intermittently on small VMs.
 _SOS_GEMM_OUT = 100 * 101
-# _phasors builds a table of at least this many angles as a coarse x fine product.  Measured on _gen_sos
-# (one CPU, one BLAS thread, 64 and 2000 rows), split against direct tables: 0.82-0.92 of the time at tables
-# of 12 angles (144-sample rows), 0.96-1.03 at 10 and up to 1.12 at 8, where the product costs what the trig saves
-_PHASOR_SPLIT = 12
 
 
 def _phasors(w, step, count, phase=0.0):
     """[cos; sin](w*step*k + phase) for k in range(count): shape (..., 2N, count) from w of shape (..., N).
 
-    `phase` broadcasts against w.  A table of at least _PHASOR_SPLIT angles is the real and imaginary part
-    of the product of two phasor tables, a coarse one at k = c*F, which takes the phase, and a fine one at
-    k = d < F, F = ceil(sqrt(count)): about 2*sqrt(count) cos/sin pairs in place of count, and only the
-    coarse table's angles are large.  Each angle is w*(step*k) (+ phase) with an exact integer step*k, so
-    the product's angle differs from the direct one by a few roundings of the largest angle.
+    `phase` broadcasts against w.  The table is the real and imaginary part of the product of two phasor
+    tables, a coarse one at k = c*F, which takes the phase, and a fine one at k = d < F, F = ceil(sqrt(count)):
+    about 2*sqrt(count) cos/sin pairs in place of count, and only the coarse table's angles are large.  Each
+    angle is w*(step*k) (+ phase) with an exact integer step*k, so the product's angle differs from the
+    direct one by a few roundings of the largest angle.
     """
     w = np.expand_dims(w, -1)
     phase = np.expand_dims(phase, -1)
-    n = w.shape[-2]
-    if count < _PHASOR_SPLIT:
-        angle = w * (step * np.arange(count)) + phase
-        out = np.empty((*angle.shape[:-2], 2 * n, count))
-        np.cos(angle, out=out[..., :n, :])
-        np.sin(angle, out=out[..., n:, :])
-        return out
 
     def table(angle):
         t = np.empty(angle.shape, dtype=complex)
@@ -312,10 +264,10 @@ def _gen_sos(f, length, rng, n_real):
     matches one by one, so the rng state after the call is the same.  With k = b*B + j, B = ceil(sqrt(length)):
     cos(w*k + phi) = Re{exp(i(w*b*B + phi)) exp(i*w*j)} = [cos, sin](w*b*B + phi) . [cos, -sin](w*j), so
     each component is one real matmul of [cos, sin] rows by [cos, -sin] = [cos, sin](-w*j) columns, both
-    built by `_phasors`, as coarse x fine products once they are long enough: a 10^4-sample frame evaluates
-    about 4*10 angles per sinusoid instead of 2*100.  The rows' table is made sinusoid-major and read
-    transposed by the gemm.  The nb block rows of a realization are split into groups of at most
-    _SOS_GEMM_OUT // B rows, so that each (rows, 2N) @ (2N, B) gemm stays small; up to 10^4 samples there is
+    built by `_phasors` as coarse x fine products: a 10^4-sample frame evaluates about 4*10 angles per
+    sinusoid instead of 2*100.  The rows' table is made sinusoid-major and read transposed by the gemm.  The
+    nb block rows of a realization are split into groups of at most _SOS_GEMM_OUT // B rows, so that each
+    (rows, 2N) @ (2N, B) gemm stays small; up to 10^4 samples there is
     one group.  Each component is scaled straight into its part of the complex output.
     """
     n = np.arange(1, _N_SINUSOIDS + 1)
@@ -459,7 +411,8 @@ def envelope_chi_square(samples):
     """Chi-square goodness-of-fit of i.i.d. envelope samples against 4*l*K0(2*l).
 
     `samples` must be finite, (approximately) independent draws; bins with expected
-    count below _CHI_SQUARE_MIN_EXPECTED are merged into their neighbours.
+    count below _CHI_SQUARE_MIN_EXPECTED are merged into their neighbours, which must
+    leave at least two bins: it takes 11 samples or more.
     Returns (statistic, p_value).
     """
     lam = np.abs(np.asarray(samples)).ravel()
@@ -480,6 +433,9 @@ def envelope_chi_square(samples):
             obs_m.append(acc_o)
             exp_m.append(acc_e)
             acc_o = acc_e = 0.0
+    if len(obs_m) < 2:
+        raise ValueError(f"envelope_chi_square: {n} samples fill fewer than two bins expecting "
+                         f"{_CHI_SQUARE_MIN_EXPECTED:g} or more")
     if acc_e > 0:
         obs_m[-1] += acc_o
         exp_m[-1] += acc_e

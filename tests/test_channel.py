@@ -21,13 +21,9 @@ from dafrelay.channel import (
 )
 from dafrelay.channel import (
     _AR1_BLOCK,
-    _AR1_COLUMN_ROWS,
-    _AR1_SCAN_COLUMNS,
     _HIST_EDGES,
     _HIST_MASSES,
     _N_SINUSOIDS,
-    _PHASOR_SPLIT,
-    _ar1,
     _ar1_scan,
     _cascade,
     _crandn,
@@ -44,14 +40,26 @@ def rng_for(*entropy):
 # The AR(1) scan sums each block in another order than the plain loop h[k] = a*h[k-1] + x[k-1].  With |a| <= 1,
 # either one's rounding errors add up over at most the 4500 steps of a row here, like a random walk of
 # sqrt(4500) * eps ~ 1.5e-14 of max|h|; observed differences stay below 1.5e-14 of max|h| up to 10^5 + 1 steps.
-# So the scan must agree with an oracle to SCAN_RTOL * max|oracle| (about 70 times that walk); the column loop
-# bit for bit.
+# So the scan must agree with an oracle to SCAN_RTOL * max|oracle| (about 70 times that walk).
 SCAN_RTOL = 1e-12
 
 
 def assert_scan_matches(h, ref):
     assert h.shape == ref.shape
     np.testing.assert_allclose(h, ref, rtol=0, atol=SCAN_RTOL * np.abs(ref).max())
+
+
+def ar1_scan(a, h0, x):
+    """h[:, 0] = h0, then `_ar1_scan` of x in a new array, by row blocks of _AR1_BLOCK samples as the generator runs.
+
+    The gemm's last bits depend on its row count, so the blocks are those of `_gen_ar1`.
+    """
+    h = np.empty((len(h0), x.shape[1] + 1), dtype=complex)
+    h[:, 0] = h0
+    step = max(1, _AR1_BLOCK // h.shape[1])
+    for i in range(0, len(h), step):
+        _ar1_scan(a, h[i:i + step], x[i:i + step])
+    return h
 
 
 def ar1_loop(a, h0, x):
@@ -158,56 +166,41 @@ class TestSingleLinkGenerators:
             assert np.array_equal(h, ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
-    @pytest.mark.parametrize("length", [10, 1001])  # stepped by column, and scanned
+    @pytest.mark.parametrize("length", [10, 1001])  # one block of samples per row, and several
     def test_ar1_blocks_match_one_lfilter(self, length):
-        # oracle: one complex lfilter over every row at once; the row count is not a multiple of the block
+        # oracle: one complex lfilter over every row at once, on the generator's draws; the row count is not a
+        # multiple of the row block
         rows = 3 * (_AR1_BLOCK // length) + 7
-        rng = rng_for(25)
-        h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        h, ref = _ar1(0.97, h0, x), ar1_lfilter(0.97, h0, x)
-        assert_scan_matches(h, ref)
-        if length == 10:
-            assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+        rng, ref_rng = rng_for(25), rng_for(25)
+        h = _gen_ar1(0.97, length, rng, rows)
+        h0, x = _crandn(ref_rng, rows), _crandn(ref_rng, (rows, length - 1), np.sqrt(1.0 - 0.97**2))
+        assert_scan_matches(h, ar1_lfilter(0.97, h0, x))
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
     @pytest.mark.parametrize("length", [10, 256])
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_ar1_matches_loop_and_lfilter_at_the_square(self, length, extra_rows):
-        # small squares, which the column loop would step at several times the scan's cost per sample
+        # small squares
         rows = length + extra_rows
         rng = rng_for(26, length, extra_rows + 1)
         h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        h = _ar1(0.97, h0, x)
+        h = ar1_scan(0.97, h0, x)
         assert_scan_matches(h, ar1_loop(0.97, h0, x))
         assert_scan_matches(h, ar1_lfilter(0.97, h0, x))
-
-    @pytest.mark.parametrize("length", [10, 34])  # validate-channel's rows, and the longest a block can step
-    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])  # scanned, then stepped by column
-    def test_ar1_matches_loop_and_lfilter_at_the_crossover(self, length, extra_rows):
-        rows = _AR1_COLUMN_ROWS * (length - 1 - _AR1_SCAN_COLUMNS) + extra_rows
-        assert rows <= _AR1_BLOCK // length  # one block
-        rng = rng_for(29, length, extra_rows + 1)
-        h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        h, loop, ref = _ar1(0.97, h0, x), ar1_loop(0.97, h0, x), ar1_lfilter(0.97, h0, x)
-        assert_scan_matches(h, loop)
-        assert_scan_matches(h, ref)
-        if extra_rows >= 0:
-            assert np.array_equal(h.view(np.uint64), loop.view(np.uint64))
-            assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("a", [0.9998, 1.0, 0.0, -0.4, -0.9])  # a < 0 is J0(2 pi f) for f > 0.383
     @pytest.mark.parametrize(
         "rows, length",
-        # one sample per row; blocks of B = 16 samples, a partial one, and three levels of carries past
+        # one sample per row; rows shorter than _SCAN_B = 16 samples, one block each (validate-channel's blocks
+        # of 6553 rows of 10); blocks of 16 samples, a partial one, and three levels of carries past
         # B^2 + 1 samples (4500 = 16 * 281 + 4); a single row
-        [(3, 2), (3, 16), (3, 17), (2, 18), (3, 50), (2, 4500), (1, 4500), (1, 2)],
+        [(3, 2), (6553, 10), (1000, 10), (1, 16), (3, 16), (3, 17), (2, 18), (3, 50), (2, 4500), (1, 4500),
+         (1, 2)],
     )
     def test_ar1_scan_matches_loop(self, a, rows, length):
-        # the scan alone, on shapes that the column loop takes inside _ar1
         rng = rng_for(30, rows, length)
         h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        h = np.empty((rows, length), dtype=complex)
-        h[:, 0] = h0
-        _ar1_scan(a, h, x)
+        h = ar1_scan(a, h0, x)
         assert_scan_matches(h, ar1_loop(a, h0, x))
         if a == 0.0:  # one term per output: h[k] = x[k-1]
             assert np.array_equal(h[:, 1:], x)
@@ -215,19 +208,19 @@ class TestSingleLinkGenerators:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_ar1_of_length_one_is_h0(self, rows):
         h0 = _crandn(rng_for(27), rows)
-        h = _ar1(0.97, h0, np.empty((rows, 0), dtype=complex))
+        h = ar1_scan(0.97, h0, np.empty((rows, 0), dtype=complex))
         assert h.shape == (rows, 1) and np.array_equal(h[:, 0], h0)
 
-    @pytest.mark.parametrize("rows, length", [(30, 10), (3, 10), (320, 10), (2, 4500)])  # scanned, or by column
+    @pytest.mark.parametrize("rows, length", [(30, 10), (3, 10), (320, 10), (2, 4500)])
     def test_ar1_holds_h0_at_unit_a_without_input(self, rows, length):
         h0 = _crandn(rng_for(28), rows)
-        h = _ar1(1.0, h0, np.zeros((rows, length - 1), dtype=complex))
+        h = ar1_scan(1.0, h0, np.zeros((rows, length - 1), dtype=complex))
         assert np.array_equal(h, np.repeat(h0[:, None], length, axis=1))
 
     @pytest.mark.parametrize("gained", [False, True])
     @pytest.mark.parametrize(
         "rows, length",
-        # 4 blocks of up to 6553 rows of 10, stepped by column; 3 blocks of one row of 70001, scanned
+        # 7 blocks of up to 3276 rows of 10; 3 blocks of one row of 70001
         [(20_000, 10), (3, 70_001)],
     )
     def test_gen_ar1_draws_each_block_as_one_draw_would(self, gained, rows, length):
@@ -245,9 +238,7 @@ class TestSingleLinkGenerators:
         assert rows > _AR1_BLOCK // length  # several blocks
         ref = ar1_loop(alpha, h0, x)
         assert_scan_matches(h, ref)
-        if length == 10:
-            assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
-        assert np.array_equal(h.view(np.uint64), _ar1(alpha, h0, x).view(np.uint64))
+        assert np.array_equal(h.view(np.uint64), ar1_scan(alpha, h0, x).view(np.uint64))
         assert rng.standard_normal() == ref_rng.standard_normal()
         if gained:  # in the gain's own buffer: each block's input is formed before its rows are written
             assert np.array_equal(_gen_ar1(alpha, length, rng_for(32), rows, gain, out=gain), h)
@@ -264,9 +255,9 @@ class TestSingleLinkGenerators:
     @pytest.mark.parametrize(
         "length, realizations, f",
         # (100001, 2): its 316 block rows are split into several gemm groups.  Phasor tables of B columns and
-        # nb rows, built directly below _PHASOR_SPLIT = 12 angles and as coarse x fine products from it: 2 and 37
-        # (B = 2, 7) directly; 130 (B = 12, nb = 11) splits only the columns, into 4 x 3; 300 (18, 17) and
-        # 5003 (71, 71) split both tables into a product longer than the table (5 x 4 = 20, 9 x 8 = 72)
+        # nb rows, every one a coarse x fine product: 2 (B = 2, nb = 1) and 37 (7, 6) of tables of a few angles;
+        # 130 (B = 12, nb = 11) splits both into 4 x 3; 300 (18, 17) and 5003 (71, 71) split both tables into a
+        # product longer than the table (5 x 4 = 20, 9 x 8 = 72)
         [(10001, 8, 0.05), (1001, 64, 0.3), (1, 3, 0.05), (7, 1, 0.05), (100001, 2, 0.05), (2, 5, 0.05),
          (37, 4, 0.05), (130, 4, 0.3), (300, 4, 0.05), (5003, 3, 0.05)],
     )
@@ -289,13 +280,13 @@ class TestSingleLinkGenerators:
         np.testing.assert_allclose(h, ref, rtol=0, atol=1e-10)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
-    @pytest.mark.parametrize("step, count", [(317, 319), (1, 317), (317, _PHASOR_SPLIT - 1)])
+    @pytest.mark.parametrize("step, count", [(317, 319), (1, 317), (317, 1), (317, 2), (317, 11)])
     def test_phasors_match_exp(self, step, count):
         # a 100001-sample frame has B = 317 and 11 gemm groups of 29 block rows: its row table (317, 319) reaches
-        # pi * 317 * 318 + pi ~ 3.2e5 rad as f -> 0.5, and its column table is (1, 317); (317, 11) is built
-        # directly.  np.exp rounds its angle once (eps/2 of it), _phasors a coarse angle twice, and cos, sin and
-        # the product add a few eps: the bound is 4 eps (|angle| + 1) per element (at most 1.25 eps (|angle| + 1)
-        # seen)
+        # pi * 317 * 318 + pi ~ 3.2e5 rad as f -> 0.5, and its column table is (1, 317); counts 1, 2 and 11 are
+        # short products (1 x 1, 1 x 2, 3 x 4).  np.exp rounds its angle once (eps/2 of it), _phasors a coarse angle
+        # twice, and cos, sin and the product add a few eps: the bound is 4 eps (|angle| + 1) per element (at most
+        # 1.6 eps (|angle| + 1) seen, at (1, 317))
         rng = rng_for(31)
         w = 2 * np.pi * 0.4999 * np.cos(rng.uniform(-np.pi, np.pi, (3, _N_SINUSOIDS)))
         w[0, 0] = 2 * np.pi * 0.4999
@@ -412,8 +403,6 @@ class TestCascadedChannel:
             ref[:, k] = a * ref[:, k - 1] + e_sr[:, k - 1] * ref_rd[:, k - 1]
         assert np.array_equal(h_rd, ref_rd)
         assert_scan_matches(h, ref)
-        if length == 10:  # 1000 rows of 10, stepped by column
-            assert np.array_equal(h, ref)
 
 
 class TestEnvelopeDistribution:
@@ -511,6 +500,12 @@ class TestEnvelopeDistribution:
             channel._pearson_chi_square(observed, far)
         with pytest.raises(ValueError):
             stats.chisquare(observed, far)
+
+    @pytest.mark.parametrize("n", [0, 3, 6])  # no bin, a remainder without a bin, one merged bin
+    def test_chi_square_rejects_fewer_than_two_bins(self, n):
+        lam = np.abs(rng_for(35, n).standard_normal(n))
+        with pytest.raises(ValueError, match="envelope_chi_square"):
+            envelope_chi_square(lam)
 
     def test_chi_square_accepts_true_distribution(self):
         rng = rng_for(12)

@@ -373,8 +373,8 @@ for argv in (["sweep", "--no-sim", "--scheme", "all", "--scenario", "III", "--pd
 
 def test_sweeps_and_validation_import_neither_scipy_stats_nor_signal(tmp_path):
     # a fresh interpreter runs a theory-only sweep, an SoS exact-cascade sweep, validate-channel's 1000 x 10
-    # rows (stepped by column) and an AR(1) one-term-cascade sweep, whose 1000-sample rows are scanned; after
-    # each command the probe sees neither module loaded
+    # rows and an AR(1) one-term-cascade sweep, whose 1000-sample rows are scanned; after each command the
+    # probe sees neither module loaded
     cfgs = []
     for gen, cascade, frame_len in (("sos", "exact", 100), ("ar1", "approx", 1000)):
         cfgs.append(tmp_path / f"{gen}.cfg")
