@@ -162,22 +162,22 @@ class _Point:
         return data, y_sd, y_rd, h_rd
 
     def chunk_errors(self, i):
-        """Bit errors of each scheme on chunk i of the point."""
+        """Bit errors of each frame of chunk i of the point: one (n,) array per scheme, n = chunk_frames(i)."""
         data, y_sd, y_rd, h_rd = self.chunk(i)
         d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
         del y_sd, y_rd
         weights = [receiver.scheme_weights(s, *self.alphas, self.pa.P0, self.pa.A, h_rd) for s in self.schemes]
-        return receiver.bit_errors(weights, d_sd, d_rd, data, self.const)
+        return receiver.frame_errors(weights, d_sd, d_rd, data, self.const)
 
     def stopped(self):
         return min(self.errors.values()) >= self.config.min_bit_errors
 
     def add(self, i, counts):
-        """Add chunk i's counts unless the point has stopped: a chunk computed past the stop is discarded."""
+        """Add chunk i's per-frame counts unless the point has stopped: a chunk computed past the stop is discarded."""
         if self.stopped():
             return
         for scheme, c in zip(self.schemes, counts):
-            self.errors[scheme] += c
+            self.errors[scheme] += int(c.sum())
         self.frames += self.chunk_frames(i)
 
     def estimates(self) -> dict:

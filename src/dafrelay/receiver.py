@@ -1,4 +1,8 @@
-"""Combining-weight schemes, the linear two-branch combiner and the DBPSK/DQPSK bit decisions."""
+"""Combining-weight schemes and the DBPSK/DQPSK decisions on the two-branch combiner.
+
+The combiner is zeta = b0 d_sd + b1 d_rd over the branches' differential products; `frame_errors`
+decides each Gray bit on a real combination of their parts and counts the errors of each frame.
+"""
 
 from dataclasses import dataclass
 from enum import Enum
@@ -15,8 +19,7 @@ __all__ = [
     "weights_opt_genie",
     "scheme_weights",
     "diff_products",
-    "frame_bit_errors",
-    "bit_errors",
+    "frame_errors",
 ]
 
 
@@ -28,17 +31,13 @@ class Scheme(Enum):
 
 @dataclass(frozen=True)
 class CombinerWeights:
-    """Branch weights (b0 for the direct link, b1 for the relayed link).
+    """Branch weights of zeta = b0 d_sd + b1 d_rd: b0 for the direct link, b1 for the relayed link.
 
     b1 may be an array for the genie scheme, which tracks |h_rd| per symbol.
     """
 
     b0: float
     b1: float | np.ndarray
-
-    def apply(self, d_sd, d_rd):
-        """zeta = b0 d_sd + b1 d_rd over the differential products of the two branches."""
-        return self.b0 * d_sd + self.b1 * d_rd
 
 
 def weights_cdd(A: float) -> CombinerWeights:
@@ -90,34 +89,28 @@ def diff_products(y_sd, y_rd):
     return tuple(np.conj(y[..., :-1]) * y[..., 1:] for y in (np.asarray(y_sd), np.asarray(y_rd)))
 
 
-def frame_bit_errors(zeta, data, constellation: Constellation):
-    """Bit errors per frame (last axis) of the decisions on zeta against the sent Gray patterns `data`.
+def frame_errors(weights, d_sd, d_rd, data, constellation: Constellation) -> list[np.ndarray]:
+    """Bit errors per frame (last axis) against the sent Gray patterns `data`, one array for each CombinerWeights.
 
-    The decision is the symbol index m that maximizes Re{conj(v_m) zeta}, ties to the lowest index,
-    and it carries the pattern m ^ (m >> 1).  On a = Re zeta and b = Im zeta the scores of
-    (1, j, -1, -j) are (a, b, -a, -b), so the decisions are exact comparisons: M = 2 decides a < 0,
-    M = 4 Gray bit 1 is a < -b and bit 0 is a < b, or a == b < 0.
+    The decision on zeta = b0 d_sd + b1 d_rd is the symbol index m that maximizes Re{conj(v_m) zeta}, ties
+    to the lowest index, and it carries the pattern m ^ (m >> 1).  On a = Re zeta and b = Im zeta the
+    scores of (1, j, -1, -j) are (a, b, -a, -b), so each Gray bit is the sign of one real combination
+    Re(w zeta): M = 2 decides a < 0 (w = 1); at M = 4 bit 1 is a < -b (w = 1 - i) and bit 0 is a < b, or
+    a == b < 0 (w = 1 + i).  a = b0 Re d_sd + b1 Re d_rd and b = b0 Im d_sd + b1 Im d_rd keep the bits of
+    Re zeta and Im zeta up to the sign of a zero, which no comparison sees.
     """
-    zeta = np.asarray(zeta)
-    # contiguous copies: comparisons on the strided .real/.imag views run several times slower
-    a = np.ascontiguousarray(zeta.real)
+    # contiguous copies: sums and comparisons on the strided .real/.imag views run several times slower
+    re_sd, re_rd = (np.ascontiguousarray(d.real) for d in (d_sd, d_rd))
     if constellation.M == 2:
-        return np.count_nonzero((a < 0) != (data == 1), axis=-1)
-    b = np.ascontiguousarray(zeta.imag)
-    bit1 = (a < -b) != (data >= 2)
-    bit0 = ((a < b) | ((a == b) & (a < 0))) != (data & 1).astype(bool)
-    return np.count_nonzero(bit1, axis=-1) + np.count_nonzero(bit0, axis=-1)
+        sent = [data == 1]
 
+        def decided(w):
+            return [w.b0 * re_sd + w.b1 * re_rd < 0]
+    else:
+        im_sd, im_rd = (np.ascontiguousarray(d.imag) for d in (d_sd, d_rd))
+        sent = [data >= 2, (data & 1).astype(bool)]
 
-def bit_errors(weights, d_sd, d_rd, data, constellation: Constellation) -> list[int]:
-    """Total bit errors of the decisions on zeta = w.apply(d_sd, d_rd) for each CombinerWeights w of `weights`.
-
-    The counts are those of `frame_bit_errors`, summed over the frames.  At M = 2 the decision reads only
-    a = Re zeta, so each w combines the contiguous real parts, b0 Re d_sd + b1 Re d_rd, against data == 1
-    formed once: Re((b + 0j) d) = b Re d, so a keeps its bits up to the sign of a zero, which a < 0 does not see.
-    """
-    if constellation.M != 2:
-        return [int(frame_bit_errors(w.apply(d_sd, d_rd), data, constellation).sum()) for w in weights]
-    re_sd, re_rd = np.ascontiguousarray(d_sd.real), np.ascontiguousarray(d_rd.real)
-    ones = data == 1
-    return [int(np.count_nonzero((w.apply(re_sd, re_rd) < 0) != ones)) for w in weights]
+        def decided(w):
+            a, b = w.b0 * re_sd + w.b1 * re_rd, w.b0 * im_sd + w.b1 * im_rd
+            return [a < -b, (a < b) | ((a == b) & (a < 0))]
+    return [sum(np.count_nonzero(bit != s, axis=-1) for bit, s in zip(decided(w), sent)) for w in weights]

@@ -23,6 +23,14 @@ def argmax_decisions(zeta, symbols):
     return np.argmax(np.real(zeta[..., None] * np.conj(symbols)), axis=-1)
 
 
+def argmax_errors(zeta, data, constellation):
+    """Reference bit errors per frame (last axis): popcounts of the sent Gray patterns `data` xor those of the
+    argmax decisions on zeta, where symbol index m carries the pattern m ^ (m >> 1)."""
+    m = argmax_decisions(zeta, constellation.symbols)
+    popcount = np.array([bin(i).count("1") for i in range(constellation.M)])
+    return popcount[np.asarray(data) ^ (m ^ (m >> 1))].sum(axis=-1)
+
+
 def record_acceptance(name: str, passed: bool, detail: str = ""):
     """Collect one acceptance-criterion verdict for the terminal summary."""
     suffix = f" ({detail})" if detail else ""

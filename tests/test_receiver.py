@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ZeroRng, argmax_decisions
+from conftest import ZeroRng, argmax_decisions, argmax_errors
 from dafrelay.link import Constellation, PowerAllocation, diff_encode, transmit
 from dafrelay.receiver import (
     CombinerWeights,
     Scheme,
-    bit_errors,
     diff_products,
-    frame_bit_errors,
+    frame_errors,
     scheme_weights,
     weights_cdd,
     weights_opt_genie,
@@ -132,50 +131,63 @@ class TestSchemeWeights:
         assert scheme_weights(Scheme.TVD, alpha_sd, alpha, P0, A, h_rd) == weights_tvd(alpha_sd, alpha, P0, A)
 
 
+def zeta_errors(zeta, data, c, branch=0):
+    """frame_errors of the one combiner output zeta, carried by one branch at weight 1 while the other is 0."""
+    zeta = np.asarray(zeta)
+    zeros = np.zeros_like(zeta)
+    if branch == 0:
+        return frame_errors([CombinerWeights(1.0, 0.0)], zeta, zeros, data, c)[0]
+    # the genie's form: b1 an array of one weight per decision
+    return frame_errors([CombinerWeights(0.0, np.ones(zeta.shape))], zeros, zeta, data, c)[0]
+
+
 class TestCombineDetect:
-    def test_combiner_formula(self):
+    def test_diff_products_formula(self):
         y_sd = np.array([1.0 + 0j, 2.0j, -1.0])
         y_rd = np.array([0.5, -0.5j, 1.0 + 1.0j])
-        w = weights_cdd(1.0)
-        zeta = w.apply(*diff_products(y_sd, y_rd))
-        expected = 0.5 * np.conj(y_sd[:-1]) * y_sd[1:] + 0.25 * np.conj(y_rd[:-1]) * y_rd[1:]
-        assert np.allclose(zeta, expected, atol=0)
-        assert zeta.shape == (2,)
+        d_sd, d_rd = diff_products(y_sd, y_rd)
+        assert np.array_equal(d_sd, np.conj(y_sd[:-1]) * y_sd[1:])
+        assert np.array_equal(d_rd, np.conj(y_rd[:-1]) * y_rd[1:])
+        assert d_sd.shape == d_rd.shape == (2,)
 
     def test_noiseless_end_to_end_recovery(self):
         # static unit channels, no noise: any scheme recovers the data exactly
         c = Constellation.of(4)
         pa = PowerAllocation.equal_from_total_db(10.0)
-        data = np.random.default_rng(5).integers(0, 4, 500)
-        s = diff_encode(data, c)
+        data = np.random.default_rng(5).integers(0, 4, 500)  # the sent Gray patterns
+        s = diff_encode(c.index_of_gray[data], c)
         ones = np.ones(s.shape, dtype=complex)
         d_sd, d_rd = diff_products(*transmit(s, ones, ones, ones, pa, ZeroRng()))
-        for w in (
-            weights_cdd(pa.A),
-            weights_tvd(1.0, 1.0, pa.P0, pa.A),
-            weights_opt_genie(1.0, 1.0, pa.P0, pa.A, ones[:-1]),
-        ):
-            detected = argmax_decisions(w.apply(d_sd, d_rd), c.symbols)
-            assert np.array_equal(detected, data)
+        weights = [weights_cdd(pa.A), weights_tvd(1.0, 1.0, pa.P0, pa.A),
+                   weights_opt_genie(1.0, 1.0, pa.P0, pa.A, ones[:-1])]
+        for w in weights:
+            m = argmax_decisions(w.b0 * d_sd + w.b1 * d_rd, c.symbols)
+            assert np.array_equal(m ^ (m >> 1), data)
+        assert frame_errors(weights, d_sd, d_rd, data, c) == [0, 0, 0]
 
     def test_single_branch_suffices_noiselessly(self):
         # kill the relayed branch: direct differential detection still works
         c = Constellation.of(2)
         pa = PowerAllocation.equal_from_total_db(0.0)
         data = np.random.default_rng(6).integers(0, 2, 200)
-        s = diff_encode(data, c)
+        s = diff_encode(data, c)  # for M = 2 each Gray pattern is its symbol index
         ones = np.ones(s.shape, dtype=complex)
         zeros = np.zeros(s.shape, dtype=complex)
         d_sd, d_rd = diff_products(*transmit(s, ones, zeros, zeros, pa, ZeroRng()))
-        zeta = weights_cdd(pa.A).apply(d_sd, d_rd)
-        assert frame_bit_errors(zeta, data, c) == 0  # for M = 2 each Gray pattern is its symbol index
+        assert frame_errors([weights_cdd(pa.A)], d_sd, d_rd, data, c) == [0]
 
-    def test_batched_combine_detect(self):
-        c = Constellation.of(2)
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_batched_combine_detect(self, M):
+        # one count per frame (row) for each scheme, the genie's per-decision weights included
+        c = Constellation.of(M)
         y = np.ones((4, 6), dtype=complex)
-        zeta = weights_cdd(1.0).apply(*diff_products(y, y))
-        assert zeta.shape == (4, 5)
-        assert np.array_equal(frame_bit_errors(zeta, np.zeros((4, 5), dtype=np.uint8), c), np.zeros(4))
+        d_sd, d_rd = diff_products(y, y)
+        weights = [weights_cdd(1.0), CombinerWeights(0.5, np.full((4, 5), 0.3))]
+        errors = frame_errors(weights, d_sd, d_rd, np.zeros((4, 5), dtype=np.uint8), c)
+        assert len(errors) == 2
+        for e in errors:
+            assert e.shape == (4,)
+            assert np.array_equal(e, np.zeros(4))
 
 
 # exact zeros of both signs and small integers, so that a == +-b ties and signed zeros come up often
@@ -194,54 +206,57 @@ def tie_heavy_zetas(draw):
     return zeta
 
 
-class TestFrameBitErrors:
+class TestFrameErrors:
     def test_bpsk_errors_are_the_decided_patterns(self):
         # one-symbol frames against the pattern 0: the errors are the decided patterns
         c = Constellation.of(2)
         zeta = np.array([[3.0 + 0.1j], [-2.0 + 5.0j], [0.5 - 1.0j]])
-        assert frame_bit_errors(zeta, np.zeros((3, 1), dtype=np.uint8), c).tolist() == [0, 1, 0]
+        assert zeta_errors(zeta, np.zeros((3, 1), dtype=np.uint8), c).tolist() == [0, 1, 0]
 
     def test_qpsk_errors_follow_the_gray_quadrants(self):
         # symbol indices 0, 1, 2, 3 carry the Gray patterns 0, 1, 3, 2
         c = Constellation.of(4)
         zeta = np.array([[2.0], [3.0j], [-1.5], [-0.5j]])
-        assert frame_bit_errors(zeta, np.zeros((4, 1), dtype=np.uint8), c).tolist() == [0, 1, 2, 1]
-        assert frame_bit_errors(zeta, np.array([[0], [1], [3], [2]]), c).tolist() == [0, 0, 0, 0]
+        assert zeta_errors(zeta, np.zeros((4, 1), dtype=np.uint8), c).tolist() == [0, 1, 2, 1]
+        assert zeta_errors(zeta, np.array([[0], [1], [3], [2]]), c).tolist() == [0, 0, 0, 0]
 
     def test_ties_decide_the_lowest_index(self):
         # zeta = 0 gives all candidates the same score, so the decision is index 0, pattern 0
         for M in (2, 4):
             c = Constellation.of(M)
-            assert frame_bit_errors(np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=np.uint8), c)[0] == 0
+            for branch in (0, 1):
+                zeta = np.zeros((1, 1), dtype=complex)
+                assert zeta_errors(zeta, np.zeros((1, 1), dtype=np.uint8), c, branch)[0] == 0
 
     @settings(max_examples=300)
-    @given(tie_heavy_zetas(), st.sampled_from([2, 4]))
-    def test_errors_match_argmax_decisions(self, zeta, M):
+    @given(tie_heavy_zetas(), st.sampled_from([2, 4]), st.sampled_from([0, 1]))
+    def test_errors_match_argmax_decisions(self, zeta, M, branch):
         # each symbol is a one-symbol frame; its errors against every possible pattern d are
         # popcount(d ^ decision), which pins the decision down
         c = Constellation.of(M)
         m = argmax_decisions(zeta, c.symbols)
         expected = m ^ (m >> 1)
         for d in range(M):
-            errors = frame_bit_errors(zeta[:, None], np.full((zeta.size, 1), d), c)
+            errors = zeta_errors(zeta[:, None], np.full((zeta.size, 1), d), c, branch)
             assert errors.tolist() == [bin(d ^ int(g)).count("1") for g in expected]
 
-
-class TestBitErrors:
-    def test_bpsk_real_parts_of_zero_decide_as_the_complex_combiner(self):
-        # each sign of a zero real part, with imaginary parts +-1, on both branches, and real parts +-1: Re zeta
-        # is then +-0 or +-b, and b0 Re d_sd + b1 Re d_rd may differ from Re(w.apply(d_sd, d_rd)) only in the
-        # sign of a zero, which decides pattern 0 either way
-        re = np.array([0.0, -0.0, 1.0, -1.0])
-        re_sd, im_sd, re_rd, im_rd = (v.ravel() for v in np.meshgrid(re, [1.0, -1.0], re, [1.0, -1.0]))
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_zero_parts_decide_as_the_complex_combiner(self, M):
+        # each sign of a zero part, and parts +-1, on both branches: the parts of zeta = b0 d_sd + b1 d_rd are
+        # then +-0 or +-b, and b0 Re d_sd + b1 Re d_rd (or Im) may differ from them only in the sign of a zero,
+        # which decides as the complex combiner's argmax either way
+        v = np.array([0.0, -0.0, 1.0, -1.0])
+        re_sd, im_sd, re_rd, im_rd = (x.ravel() for x in np.meshgrid(v, v, v, v))
         d_sd, d_rd = np.empty((2, 1, re_sd.size), dtype=complex)
         d_sd.real, d_sd.imag, d_rd.real, d_rd.imag = re_sd, im_sd, re_rd, im_rd
-        c = Constellation.of(2)
+        c = Constellation.of(M)
         weights = [CombinerWeights(0.5, 0.25), CombinerWeights(0.5, 0.5),
                    CombinerWeights(0.3, np.full(d_rd.shape, 0.3))]
         negative = np.count_nonzero(0.5 * re_sd + 0.25 * re_rd < 0)
-        for d in (0, 1):
+        for d in range(M):
             data = np.full(d_sd.shape, d, dtype=np.uint8)
-            expected = [int(frame_bit_errors(w.apply(d_sd, d_rd), data, c).sum()) for w in weights]
-            assert bit_errors(weights, d_sd, d_rd, data, c) == expected
-            assert expected[0] == (negative if d == 0 else re_sd.size - negative)
+            errors = frame_errors(weights, d_sd, d_rd, data, c)
+            for w, e in zip(weights, errors):
+                assert e.tolist() == argmax_errors(w.b0 * d_sd + w.b1 * d_rd, data, c).tolist()
+            if M == 2:
+                assert errors[0][0] == (negative if d == 0 else re_sd.size - negative)
