@@ -129,9 +129,9 @@ def _crandn(rng, shape, scale=1.0):
     return pairs.view(complex).reshape(shape)
 
 
-# samples per row block of the AR(1) generator, which keeps the scan's temporaries of a block small
+# samples per row block of the AR(1) generator: it bounds a block's draws and scan temporaries, and moves no bit
 _AR1_BLOCK = 1 << 15
-# the scan's longest block, and block rows per gemm: a (128, 2B + 2) @ (2B + 2, 2B) call stays within
+# the scan's longest block, and block rows of every gemm: a (128, 2B + 2) @ (2B + 2, 2B) call stays within
 # OpenBLAS's one-thread size, so the bits do not depend on its thread count
 _SCAN_B = 16
 _SCAN_GEMM_ROWS = 128
@@ -160,8 +160,9 @@ def _ar1_scan(a, block, x):
     A row of one block carries block[:, 0].  The carries of longer rows are themselves an AR(1) with
     coefficient a^B from block[:, 0], whose input is each block run from zero to its end (the kernel's last
     two columns without the carry row): `_ar1_scan` again, in place in the carry column, on one column per
-    block but the last.  The (rows x blocks) rows of [x | c] go through the gemms in groups of at most
-    _SCAN_GEMM_ROWS.  It matches the plain loop to about 1e-14 of max|h| rather than bit for bit, holds
+    block but the last.  The (rows x blocks) rows of [x | c] go through the gemms in groups of exactly
+    _SCAN_GEMM_ROWS, the last zero-padded, so a row's bits depend on neither the rows scanned with it nor
+    BLAS's thread count.  It matches the plain loop to about 1e-14 of max|h| rather than bit for bit, holds
     h0 exactly at a = 1 with zero input, and leaves block as it is when x has no columns.
     """
     n, m = x.shape
@@ -174,7 +175,7 @@ def _ar1_scan(a, block, x):
     total = n * nb
     groups = -(-total // _SCAN_GEMM_ROWS)
     k = _scan_kernel(a, b)
-    buf = np.empty((groups, -(-total // groups), width + 2))
+    buf = np.empty((groups, _SCAN_GEMM_ROWS, width + 2))
     rows = buf.reshape(-1, width + 2)
     rows[total:] = 0.0
     xs = rows[:total, :width].view(complex).reshape(n, nb, b)

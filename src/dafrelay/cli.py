@@ -4,7 +4,6 @@ import argparse
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, montecarlo
 from .channel import (
@@ -195,8 +194,8 @@ def _validate_model(kind: CascadedModelKind, spec_sr: FadingSpec, spec_rd: Fadin
 def cmd_validate_channel(args) -> int:
     """Both cascade models' statistics and envelope fit, each model on its own stream.
 
-    The exact product runs on the calling thread and the one-term recursion on a helper thread where two
-    CPUs are usable (montecarlo._WORKERS), else one after the other; the report lists them in model order.
+    `montecarlo._run_rounds` runs the exact product on the calling thread and the one-term recursion on a
+    helper thread where two CPUs are usable, else after it; the report lists them in model order.
     """
     scenario = _resolve_scenario(args.scenario, {})
     n_samples = int(args.samples)
@@ -208,19 +207,12 @@ def cmd_validate_channel(args) -> int:
     _, alpha = scenario.autocorrs()
     _heap_policy()
 
-    lines = [f"channel validation: scenario {scenario.name}"]
-    lines.append(
-        f"links: f_sd={scenario.f_sd} f_sr={scenario.f_sr} f_rd={scenario.f_rd} "
-        f"expected lag-1 autocorr (cascaded) = {alpha:.6f}"
-    )
-    exact, approx = ((kind, spec_sr, spec_rd, frame_len, n_frames, seeded_rng([seed_word(args.seed), stream]))
-                     for stream, kind in enumerate(CascadedModelKind, 1))
-    if montecarlo._WORKERS > 1:
-        with ThreadPoolExecutor(1) as pool:
-            helper = pool.submit(_validate_model, *approx)
-            results = [_validate_model(*exact), helper.result()]
-    else:
-        results = [_validate_model(*exact), _validate_model(*approx)]
+    lines = [f"channel validation: scenario {scenario.name}",
+             f"links: f_sd={scenario.f_sd} f_sr={scenario.f_sr} f_rd={scenario.f_rd} "
+             f"expected lag-1 autocorr (cascaded) = {alpha:.6f}"]
+    models = ((kind, spec_sr, spec_rd, frame_len, n_frames, seeded_rng([seed_word(args.seed), stream]))
+              for stream, kind in enumerate(CascadedModelKind, 1))
+    results = [result for _, result in montecarlo._run_rounds(_validate_model, models)]
     for kind, (st, (stat, p)) in zip(CascadedModelKind, results):
         lines.append(
             f"model={kind.value} mean=({st.mean.real:+.5f},{st.mean.imag:+.5f}) "
@@ -230,9 +222,8 @@ def cmd_validate_channel(args) -> int:
     lines.append("histogram: bin_center empirical_exact empirical_approx theory_cascaded theory_rayleigh")
     (st_e, _), (st_a, _) = results
     centers = 0.5 * (st_e.bin_edges[:-1] + st_e.bin_edges[1:])
-    theory = envelope_pdf_theoretical(centers)
-    rayl = rayleigh_pdf(centers)
-    for c, de, da, t, r in zip(centers, st_e.densities, st_a.densities, theory, rayl):
+    for c, de, da, t, r in zip(centers, st_e.densities, st_a.densities, envelope_pdf_theoretical(centers),
+                               rayleigh_pdf(centers)):
         lines.append(f"{c:.4f} {de:.5f} {da:.5f} {t:.5f} {r:.5f}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0

@@ -8,15 +8,15 @@ clouded by independent sampling noise.
 Each chunk of frames has its own stream, keyed by (seed, power, M, chunk index),
 so the chunks of a whole sweep, across all its points, share one schedule: the
 (point, chunk) pairs run in point-major order, in rounds of W, one per usable
-CPU (`taskset` limits W).  The calling thread computes the first chunk of a
-round and W - 1 helper threads the rest, and a round skips the chunks of points
-that have stopped.  Each point adds its counts in chunk order, checks the
-stopping rule before each add and discards the chunks computed past its stop:
-results do not depend on W, and a point that stops on its error count wastes at
-most W - 1 chunks.  The numpy draws, the ufuncs and BLAS (the sum-of-sinusoids
-and AR(1) matmuls) release the GIL, so threads give a real speed-up.  The thread
-pool is made once per sweep, since threads do not survive a `fork`; it starts no
-thread for a one-chunk sweep.
+CPU (`taskset` limits W), through `_run_rounds`: the calling thread computes
+the first chunk of a round and W - 1 helper threads the rest, and a round skips
+the chunks of points that have stopped.  Each point adds its counts in chunk
+order, checks the stopping rule before each add and discards the chunks computed
+past its stop: results do not depend on W, and a point that stops on its error
+count wastes at most W - 1 chunks.  The numpy draws, the ufuncs and BLAS (the
+sum-of-sinusoids and AR(1) matmuls) release the GIL, so threads give a real
+speed-up.  The thread pool is made once per sweep, since threads do not survive
+a `fork`; it starts no thread for a one-chunk sweep.
 """
 
 import ctypes
@@ -164,10 +164,10 @@ class _Point:
     def chunk_errors(self, i):
         """Bit errors of each frame of chunk i of the point: one (n,) array per scheme, n = chunk_frames(i)."""
         data, y_sd, y_rd, h_rd = self.chunk(i)
-        d_sd, d_rd = receiver.diff_products(y_sd, y_rd)
+        parts = receiver.diff_products(y_sd, y_rd, self.const.M)
         del y_sd, y_rd
         weights = [receiver.scheme_weights(s, *self.alphas, self.pa.P0, self.pa.A, h_rd) for s in self.schemes]
-        return receiver.frame_errors(weights, d_sd, d_rd, data, self.const)
+        return receiver.frame_errors(weights, parts, data, self.const)
 
     def stopped(self):
         return min(self.errors.values()) >= self.config.min_bit_errors
@@ -192,6 +192,18 @@ class _Point:
         return out
 
 
+def _run_rounds(fn, calls):
+    """Yield (args, fn(*args)) for each args of `calls` in order, in rounds of W = _WORKERS (read per call): the
+    calling thread runs a round's first call, W - 1 helper threads the rest.  A round is drawn from `calls` once
+    the last one's results have all been taken, so `calls` may depend on what was done with them."""
+    calls, workers = iter(calls), _WORKERS
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        while round_ := list(islice(calls, workers)):
+            futures = [pool.submit(fn, *args) for args in round_[1:]]
+            yield round_[0], fn(*round_[0])
+            yield from zip(round_[1:], (f.result() for f in futures))
+
+
 def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
     """Every point of config.p_db_grid over the sweep's one chunk schedule; deterministic given master_seed.
 
@@ -209,22 +221,10 @@ def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
     points = [_Point(config, p_db, schemes) for p_db in config.p_db_grid]
     n_chunks = -(-(config.max_symbols // config.frame_len) // config.frames_per_chunk)
 
-    def pending():
-        for point in points:
-            for i in range(n_chunks):
-                if point.stopped():
-                    break
-                yield point, i
-
-    pairs = pending()
-    workers = min(_WORKERS, len(points) * n_chunks)
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        while round_ := list(islice(pairs, workers)):
-            (first, i), rest = round_[0], round_[1:]
-            futures = [pool.submit(point.chunk_errors, j) for point, j in rest]
-            counts = [first.chunk_errors(i)] + [f.result() for f in futures]
-            for (point, j), chunk in zip(round_, counts):
-                point.add(j, chunk)
+    # drawn round by round, after the last round's adds, so a stopped point's chunks are not scheduled
+    pending = ((point, i) for point in points for i in range(n_chunks) if not point.stopped())
+    for (point, i), counts in _run_rounds(_Point.chunk_errors, pending):
+        point.add(i, counts)
     estimates = [point.estimates() for point in points]
     return [by_scheme[scheme] for scheme in schemes for by_scheme in estimates]
 

@@ -84,30 +84,38 @@ def scheme_weights(scheme: Scheme, alpha_sd: float, alpha: float, P0: float, A: 
     return weights_opt_genie(alpha_sd, alpha, P0, A, h_rd[:, :-1])
 
 
-def diff_products(y_sd, y_rd):
-    """Differential products conj(y[k-1]) y[k] of both branches along the last axis."""
-    return tuple(np.conj(y[..., :-1]) * y[..., 1:] for y in (np.asarray(y_sd), np.asarray(y_rd)))
+def diff_products(y_sd, y_rd, M):
+    """(Re d_sd, Re d_rd), and at M = 4 also (Im d_sd, Im d_rd): contiguous parts of d = conj(y[k-1]) y[k], last axis.
+
+    Each branch's complex d is freed before the next one's is formed."""
+    re, im = [], []
+    for y in (y_sd, y_rd):
+        d = np.conj(y[..., :-1])
+        d *= y[..., 1:]
+        re.append(np.ascontiguousarray(d.real))
+        im += [np.ascontiguousarray(d.imag)] if M == 4 else []
+        del d
+    return (*re, *im)
 
 
-def frame_errors(weights, d_sd, d_rd, data, constellation: Constellation) -> list[np.ndarray]:
+def frame_errors(weights, parts, data, constellation: Constellation) -> list[np.ndarray]:
     """Bit errors per frame (last axis) against the sent Gray patterns `data`, one array for each CombinerWeights.
 
-    The decision on zeta = b0 d_sd + b1 d_rd is the symbol index m that maximizes Re{conj(v_m) zeta}, ties
-    to the lowest index, and it carries the pattern m ^ (m >> 1).  On a = Re zeta and b = Im zeta the
-    scores of (1, j, -1, -j) are (a, b, -a, -b), so each Gray bit is the sign of one real combination
-    Re(w zeta): M = 2 decides a < 0 (w = 1); at M = 4 bit 1 is a < -b (w = 1 - i) and bit 0 is a < b, or
-    a == b < 0 (w = 1 + i).  a = b0 Re d_sd + b1 Re d_rd and b = b0 Im d_sd + b1 Im d_rd keep the bits of
-    Re zeta and Im zeta up to the sign of a zero, which no comparison sees.
+    `parts` are the `diff_products` at the constellation's order.  The decision on zeta = b0 d_sd + b1 d_rd is
+    the symbol index m that maximizes Re{conj(v_m) zeta}, ties to the lowest index; it carries the pattern
+    m ^ (m >> 1).  On a = Re zeta and b = Im zeta the scores of (1, j, -1, -j) are (a, b, -a, -b), so each Gray
+    bit is the sign of one real combination Re(w zeta): M = 2 decides a < 0 (w = 1); at M = 4 bit 1 is a < -b
+    (w = 1 - i) and bit 0 is a < b, or a == b < 0 (w = 1 + i).  a = b0 Re d_sd + b1 Re d_rd and b = b0 Im d_sd
+    + b1 Im d_rd keep the bits of Re zeta and Im zeta up to the sign of a zero, which no comparison sees.
     """
-    # contiguous copies: sums and comparisons on the strided .real/.imag views run several times slower
-    re_sd, re_rd = (np.ascontiguousarray(d.real) for d in (d_sd, d_rd))
+    re_sd, re_rd, *im = parts
     if constellation.M == 2:
         sent = [data == 1]
 
         def decided(w):
             return [w.b0 * re_sd + w.b1 * re_rd < 0]
     else:
-        im_sd, im_rd = (np.ascontiguousarray(d.imag) for d in (d_sd, d_rd))
+        im_sd, im_rd = im
         sent = [data >= 2, (data & 1).astype(bool)]
 
         def decided(w):

@@ -49,16 +49,11 @@ def assert_scan_matches(h, ref):
     np.testing.assert_allclose(h, ref, rtol=0, atol=SCAN_RTOL * np.abs(ref).max())
 
 
-def ar1_scan(a, h0, x):
-    """h[:, 0] = h0, then `_ar1_scan` of x in a new array, by row blocks of _AR1_BLOCK samples as the generator runs.
-
-    The gemm's last bits depend on its row count, so the blocks are those of `_gen_ar1`.
-    """
+def scanned(a, h0, x):
+    """h[:, 0] = h0, then `_ar1_scan` of x over every row in one call, in a new array."""
     h = np.empty((len(h0), x.shape[1] + 1), dtype=complex)
     h[:, 0] = h0
-    step = max(1, _AR1_BLOCK // h.shape[1])
-    for i in range(0, len(h), step):
-        _ar1_scan(a, h[i:i + step], x[i:i + step])
+    _ar1_scan(a, h, x)
     return h
 
 
@@ -184,7 +179,7 @@ class TestSingleLinkGenerators:
         rows = length + extra_rows
         rng = rng_for(26, length, extra_rows + 1)
         h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        h = ar1_scan(0.97, h0, x)
+        h = scanned(0.97, h0, x)
         assert_scan_matches(h, ar1_loop(0.97, h0, x))
         assert_scan_matches(h, ar1_lfilter(0.97, h0, x))
 
@@ -200,7 +195,7 @@ class TestSingleLinkGenerators:
     def test_ar1_scan_matches_loop(self, a, rows, length):
         rng = rng_for(30, rows, length)
         h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1))
-        h = ar1_scan(a, h0, x)
+        h = scanned(a, h0, x)
         assert_scan_matches(h, ar1_loop(a, h0, x))
         if a == 0.0:  # one term per output: h[k] = x[k-1]
             assert np.array_equal(h[:, 1:], x)
@@ -208,13 +203,13 @@ class TestSingleLinkGenerators:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_ar1_of_length_one_is_h0(self, rows):
         h0 = _crandn(rng_for(27), rows)
-        h = ar1_scan(0.97, h0, np.empty((rows, 0), dtype=complex))
+        h = scanned(0.97, h0, np.empty((rows, 0), dtype=complex))
         assert h.shape == (rows, 1) and np.array_equal(h[:, 0], h0)
 
     @pytest.mark.parametrize("rows, length", [(30, 10), (3, 10), (320, 10), (2, 4500)])
     def test_ar1_holds_h0_at_unit_a_without_input(self, rows, length):
         h0 = _crandn(rng_for(28), rows)
-        h = ar1_scan(1.0, h0, np.zeros((rows, length - 1), dtype=complex))
+        h = scanned(1.0, h0, np.zeros((rows, length - 1), dtype=complex))
         assert np.array_equal(h, np.repeat(h0[:, None], length, axis=1))
 
     @pytest.mark.parametrize("gained", [False, True])
@@ -238,10 +233,38 @@ class TestSingleLinkGenerators:
         assert rows > _AR1_BLOCK // length  # several blocks
         ref = ar1_loop(alpha, h0, x)
         assert_scan_matches(h, ref)
-        assert np.array_equal(h.view(np.uint64), ar1_scan(alpha, h0, x).view(np.uint64))
+        assert np.array_equal(h.view(np.uint64), scanned(alpha, h0, x).view(np.uint64))
         assert rng.standard_normal() == ref_rng.standard_normal()
         if gained:  # in the gain's own buffer: each block's input is formed before its rows are written
             assert np.array_equal(_gen_ar1(alpha, length, rng_for(32), rows, gain, out=gain), h)
+
+    @pytest.mark.parametrize("gained", [False, True])
+    @pytest.mark.parametrize("rows, length", [(2000, 10), (300, 1001)])
+    def test_gen_ar1_bits_do_not_depend_on_the_row_block(self, monkeypatch, gained, rows, length):
+        # the default row block (one block of 2000 rows of 10; 10 blocks of 32 rows of 1001, the last of 12),
+        # one row per block, and blocks of 7 rows, the last one partial: the same bits
+        gain = gen_fading(FadingSpec(0.01), length, rng_for(33), rows) if gained else None
+        outs = []
+        for block in (_AR1_BLOCK, 1, 7 * length):
+            monkeypatch.setattr(channel, "_AR1_BLOCK", block)
+            outs.append(_gen_ar1(0.97, length, rng_for(34), rows, gain).view(np.uint64))
+        assert rows % 7 and all(np.array_equal(out, outs[0]) for out in outs[1:])
+
+    @pytest.mark.parametrize(
+        "rows, length, step",
+        # the blocks of 20000 rows of 10 under the default _AR1_BLOCK, and shapes with partial last blocks
+        [(20_000, 10, 3276), (20_000, 10, 1), (300, 1000, 7), (64, 1001, 1), (1000, 35, 3), (33, 1001, 32),
+         (5, 100_001, 2)],
+    )
+    def test_ar1_scan_bits_do_not_depend_on_the_rows_scanned_together(self, rows, length, step):
+        # every gemm has _SCAN_GEMM_ROWS rows, so a row's bits are those of a scan of all rows in one call
+        rng = rng_for(35, rows, length)
+        h0, x = _crandn(rng, rows), _crandn(rng, (rows, length - 1), 0.25)
+        h = np.empty((rows, length), dtype=complex)
+        h[:, 0] = h0
+        for i in range(0, rows, step):
+            _ar1_scan(0.97, h[i:i + step], x[i:i + step])
+        assert np.array_equal(h.view(np.uint64), scanned(0.97, h0, x).view(np.uint64))
 
     def test_ar1_moments_and_lag1(self):
         # f = 0.01, 10^6 samples: variance 1 +/- 0.01, lag-1 within 0.01 of J0

@@ -131,24 +131,41 @@ class TestSchemeWeights:
         assert scheme_weights(Scheme.TVD, alpha_sd, alpha, P0, A, h_rd) == weights_tvd(alpha_sd, alpha, P0, A)
 
 
+def parts_of(d_sd, d_rd, M):
+    """The parts `diff_products` gives at order M, of the complex products d_sd and d_rd."""
+    return (d_sd.real, d_rd.real) + ((d_sd.imag, d_rd.imag) if M == 4 else ())
+
+
+def products(*ys):
+    """Oracle: conj(y[k-1]) y[k] of each y along the last axis."""
+    return [np.conj(y[..., :-1]) * y[..., 1:] for y in ys]
+
+
 def zeta_errors(zeta, data, c, branch=0):
     """frame_errors of the one combiner output zeta, carried by one branch at weight 1 while the other is 0."""
     zeta = np.asarray(zeta)
     zeros = np.zeros_like(zeta)
     if branch == 0:
-        return frame_errors([CombinerWeights(1.0, 0.0)], zeta, zeros, data, c)[0]
+        return frame_errors([CombinerWeights(1.0, 0.0)], parts_of(zeta, zeros, c.M), data, c)[0]
     # the genie's form: b1 an array of one weight per decision
-    return frame_errors([CombinerWeights(0.0, np.ones(zeta.shape))], zeros, zeta, data, c)[0]
+    return frame_errors([CombinerWeights(0.0, np.ones(zeta.shape))], parts_of(zeros, zeta, c.M), data, c)[0]
 
 
 class TestCombineDetect:
-    def test_diff_products_formula(self):
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_diff_products_formula(self, M):
+        # the contiguous parts of numpy's complex products, bit for bit, on small exact values and on frames
         y_sd = np.array([1.0 + 0j, 2.0j, -1.0])
         y_rd = np.array([0.5, -0.5j, 1.0 + 1.0j])
-        d_sd, d_rd = diff_products(y_sd, y_rd)
-        assert np.array_equal(d_sd, np.conj(y_sd[:-1]) * y_sd[1:])
-        assert np.array_equal(d_rd, np.conj(y_rd[:-1]) * y_rd[1:])
-        assert d_sd.shape == d_rd.shape == (2,)
+        rng = np.random.default_rng(7)
+        frames = [rng.standard_normal((8, 1001)) + 1j * rng.standard_normal((8, 1001)) for _ in range(2)]
+        for ys in ((y_sd, y_rd), frames):
+            parts = diff_products(*ys, M)
+            ref = parts_of(*products(*ys), M)
+            assert len(parts) == len(ref) == M
+            for p, r in zip(parts, ref):
+                assert p.flags.c_contiguous and p.shape == ys[0][..., 1:].shape
+                assert np.array_equal(p.view(np.uint64), np.ascontiguousarray(r).view(np.uint64))
 
     def test_noiseless_end_to_end_recovery(self):
         # static unit channels, no noise: any scheme recovers the data exactly
@@ -157,13 +174,14 @@ class TestCombineDetect:
         data = np.random.default_rng(5).integers(0, 4, 500)  # the sent Gray patterns
         s = diff_encode(c.index_of_gray[data], c)
         ones = np.ones(s.shape, dtype=complex)
-        d_sd, d_rd = diff_products(*transmit(s, ones, ones, ones, pa, ZeroRng()))
+        ys = transmit(s, ones, ones, ones, pa, ZeroRng())
+        d_sd, d_rd = products(*ys)
         weights = [weights_cdd(pa.A), weights_tvd(1.0, 1.0, pa.P0, pa.A),
                    weights_opt_genie(1.0, 1.0, pa.P0, pa.A, ones[:-1])]
         for w in weights:
             m = argmax_decisions(w.b0 * d_sd + w.b1 * d_rd, c.symbols)
             assert np.array_equal(m ^ (m >> 1), data)
-        assert frame_errors(weights, d_sd, d_rd, data, c) == [0, 0, 0]
+        assert frame_errors(weights, diff_products(*ys, c.M), data, c) == [0, 0, 0]
 
     def test_single_branch_suffices_noiselessly(self):
         # kill the relayed branch: direct differential detection still works
@@ -173,17 +191,16 @@ class TestCombineDetect:
         s = diff_encode(data, c)  # for M = 2 each Gray pattern is its symbol index
         ones = np.ones(s.shape, dtype=complex)
         zeros = np.zeros(s.shape, dtype=complex)
-        d_sd, d_rd = diff_products(*transmit(s, ones, zeros, zeros, pa, ZeroRng()))
-        assert frame_errors([weights_cdd(pa.A)], d_sd, d_rd, data, c) == [0]
+        parts = diff_products(*transmit(s, ones, zeros, zeros, pa, ZeroRng()), c.M)
+        assert frame_errors([weights_cdd(pa.A)], parts, data, c) == [0]
 
     @pytest.mark.parametrize("M", [2, 4])
     def test_batched_combine_detect(self, M):
         # one count per frame (row) for each scheme, the genie's per-decision weights included
         c = Constellation.of(M)
         y = np.ones((4, 6), dtype=complex)
-        d_sd, d_rd = diff_products(y, y)
         weights = [weights_cdd(1.0), CombinerWeights(0.5, np.full((4, 5), 0.3))]
-        errors = frame_errors(weights, d_sd, d_rd, np.zeros((4, 5), dtype=np.uint8), c)
+        errors = frame_errors(weights, diff_products(y, y, M), np.zeros((4, 5), dtype=np.uint8), c)
         assert len(errors) == 2
         for e in errors:
             assert e.shape == (4,)
@@ -255,7 +272,7 @@ class TestFrameErrors:
         negative = np.count_nonzero(0.5 * re_sd + 0.25 * re_rd < 0)
         for d in range(M):
             data = np.full(d_sd.shape, d, dtype=np.uint8)
-            errors = frame_errors(weights, d_sd, d_rd, data, c)
+            errors = frame_errors(weights, parts_of(d_sd, d_rd, M), data, c)
             for w, e in zip(weights, errors):
                 assert e.tolist() == argmax_errors(w.b0 * d_sd + w.b1 * d_rd, data, c).tolist()
             if M == 2:
