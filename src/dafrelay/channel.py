@@ -368,7 +368,28 @@ _INNER_EDGES = _HIST_EDGES[1:-1]
 _HIST_MASSES = np.diff(np.concatenate(([0.0], 1.0 - 2.0 * _INNER_EDGES * special.k1(2.0 * _INNER_EDGES), [1.0])))
 _CHI_SQUARE_MIN_EXPECTED = 5.0  # bins expecting fewer samples are merged into their neighbours
 _CHI_SQUARE_RTOL = np.sqrt(np.finfo(float).eps)  # scipy.stats.chisquare's check of the totals
-_STATS_BLOCK = 1 << 16  # samples per pass of validate_stats, which makes no temporary of the samples' size
+_STATS_BLOCK = 1 << 16  # samples per pass of validate_stats and of the envelope counts, so no temporary is n long
+# _envelope_counts' rule: an envelope above the top edge (inf and NaN too) is capped at the float after it; scaled
+# by 20 (1 - 8 eps) and truncated, every envelope in bin k lands on k or k - 1, and one comparison with the
+# upper edge of that bin, the cap as the last bin's, moves it up where it belongs
+_HIST_CAP = np.nextafter(_HIST_RANGE[1], np.inf)
+_BIN_SCALE = _HIST_BINS / (_HIST_RANGE[1] - _HIST_RANGE[0]) * (1.0 - 8.0 * np.finfo(float).eps)
+_BIN_UPPER = np.append(_HIST_EDGES[1:-1], _HIST_CAP)
+
+
+def _envelope_counts(lam):
+    """np.histogram's counts of the envelopes `lam` over _HIST_EDGES, last bin closed, then the count beyond it.
+
+    The last count holds every envelope above the top edge, NaN and inf included, with no warning.
+    """
+    lam = np.fmin(lam, _HIST_CAP).ravel()
+    bins = np.multiply(lam, _BIN_SCALE, out=np.empty(lam.shape, np.intp), casting="unsafe")
+    counts = np.bincount(bins, minlength=_HIST_BINS + 1)
+    # the few that truncation left one bin below their own
+    low = np.bincount(bins[lam >= _BIN_UPPER.take(bins)], minlength=_HIST_BINS)
+    counts[:-1] -= low
+    counts[1:] += low
+    return counts
 
 
 def validate_stats(samples) -> ChannelStats:
@@ -391,19 +412,21 @@ def validate_stats(samples) -> ChannelStats:
     # the real sums below are einsum dot products over float views: (re, im) pairs, so that
     # Re conj(u)*v = re_u*re_v + im_u*im_v; einsum runs on one thread, so the bits do not depend on BLAS's thread count
     sq_dev = lag_sum = 0.0
-    counts = np.zeros(_HIST_BINS, dtype=np.intp)
+    counts = np.zeros(_HIST_BINS + 1, dtype=np.intp)
     for i in range(0, flat.size, _STATS_BLOCK):
         block = flat[i:i + _STATS_BLOCK]
         dev = (block - mean).view(float)
         sq_dev += np.einsum("i,i->", dev, dev)
+        del dev
         # products of neighbours in the flat array, the last one with the first sample of the next block
         pairs = flat[i:i + _STATS_BLOCK + 1].view(float)
         lag_sum += np.einsum("i,i->", pairs[:-2], pairs[2:])
-        counts += np.histogram(np.abs(block), bins=_HIST_BINS, range=_HIST_RANGE)[0]
+        counts += _envelope_counts(np.abs(block))
     variance = sq_dev / flat.size
     # less the products across the ends of rows
     lag_sum -= np.einsum("ij,ij->", h[:-1, -1:].view(float), h[1:, :1].view(float))
     lag1 = float(lag_sum / (h.shape[0] * (h.shape[1] - 1)) / variance)
+    counts = counts[:-1]  # the envelopes beyond the top edge are left out, as np.histogram's range does
     edges = _HIST_EDGES.copy()
     return ChannelStats(mean, float(variance), lag1, edges, counts / np.diff(edges) / counts.sum())
 
@@ -420,10 +443,12 @@ def envelope_chi_square(samples):
     if not np.isfinite(lam).all():
         raise ValueError("envelope_chi_square: every sample must be finite")
     n = lam.size
-    observed, _ = np.histogram(lam, bins=_HIST_EDGES)
+    counts = np.zeros(_HIST_BINS + 1, dtype=np.intp)
+    for i in range(0, n, _STATS_BLOCK):
+        counts += _envelope_counts(lam[i:i + _STATS_BLOCK])
     expected = n * _HIST_MASSES
-    observed = observed.astype(float)
-    observed[-1] += np.count_nonzero(lam > _HIST_EDGES[-1])
+    observed = counts[:-1].astype(float)
+    observed[-1] += counts[-1]  # the tail beyond the top edge, as in _HIST_MASSES
     # merge low-expectation bins from the right
     obs_m, exp_m = [], []
     acc_o = acc_e = 0.0

@@ -121,4 +121,7 @@ def frame_errors(weights, parts, data, constellation: Constellation) -> list[np.
         def decided(w):
             a, b = w.b0 * re_sd + w.b1 * re_rd, w.b0 * im_sd + w.b1 * im_rd
             return [a < -b, (a < b) | ((a == b) & (a < 0))]
-    return [sum(np.count_nonzero(bit != s, axis=-1) for bit, s in zip(decided(w), sent)) for w in weights]
+    # count_nonzero(axis=-1) runs as sum(dtype=intp); a uint32 sum of the bytes gives the same counts faster, as
+    # no frame holds 2^32 bits
+    return [sum(np.add.reduce((bit != s).view(np.uint8), axis=-1, dtype=np.uint32) for bit, s in zip(decided(w), sent))
+            for w in weights]

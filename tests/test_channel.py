@@ -1,5 +1,7 @@
 """Fading generators, cascaded channel models and their statistical validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -24,9 +26,11 @@ from dafrelay.channel import (
     _HIST_EDGES,
     _HIST_MASSES,
     _N_SINUSOIDS,
+    _STATS_BLOCK,
     _ar1_scan,
     _cascade,
     _crandn,
+    _envelope_counts,
     _gen_ar1,
     _phasors,
 )
@@ -549,6 +553,64 @@ class TestEnvelopeDistribution:
         assert p < 1e-6
 
 
+def histogram_counts(lam):
+    """Oracle of _envelope_counts: np.histogram's counts over _HIST_EDGES, then how many are above the top edge or NaN.
+
+    np.histogram over the edges and over 100 bins of (0, 5) must agree, as the two callers used each one.
+    """
+    lam = np.asarray(lam, dtype=float).ravel()
+    counts = np.histogram(lam, bins=_HIST_EDGES)[0]
+    assert np.array_equal(counts, np.histogram(lam, bins=100, range=(0.0, 5.0))[0])
+    return np.append(counts, np.count_nonzero(~(lam <= _HIST_EDGES[-1])))
+
+
+def near_edges(ulps=8):
+    """Every histogram edge and the floats up to `ulps` steps either side of it that are not negative."""
+    lam, down, up = [_HIST_EDGES], _HIST_EDGES, _HIST_EDGES
+    for _ in range(ulps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        lam += [down, up]
+    lam = np.concatenate(lam)
+    return lam[lam >= 0.0]
+
+
+def cascaded_envelopes(seed, n):
+    rng = rng_for(seed)
+    return np.abs(
+        (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    ) / 2.0
+
+
+@pytest.mark.filterwarnings("error")
+class TestEnvelopeCounts:
+    SPECIAL = [0.0, 5.0, np.nextafter(5.0, np.inf), 7.0, np.inf, np.nan, 1e308]
+
+    def test_every_edge_within_eight_ulps_and_the_special_values(self):
+        lam = np.concatenate([near_edges(), self.SPECIAL])
+        assert np.array_equal(_envelope_counts(lam), histogram_counts(lam))
+        # one at a time too, so that no two misplaced values can make up for each other
+        assert all(np.array_equal(_envelope_counts(lam[i:i + 1]), histogram_counts(lam[i:i + 1]))
+                   for i in range(lam.size))
+
+    def test_random_envelopes_and_empty_input(self):
+        lam = cascaded_envelopes(20, 100_000)
+        assert np.array_equal(_envelope_counts(lam), histogram_counts(lam))
+        assert np.array_equal(_envelope_counts(np.empty(0)), np.zeros(len(_HIST_EDGES), dtype=np.intp))
+
+    def test_validate_stats_densities_drop_the_envelopes_beyond_the_top_edge(self):
+        # more than one block, with envelopes on and about every edge and above the top one
+        lam = np.concatenate([cascaded_envelopes(21, 2 * _STATS_BLOCK), near_edges(), [7.0, 1e3]])
+        st = validate_stats(lam.astype(complex))
+        dens, edges = np.histogram(lam, bins=100, range=(0.0, 5.0), density=True)
+        assert np.array_equal(st.bin_edges, edges) and np.array_equal(st.densities, dens)
+
+    def test_chi_square_is_that_of_the_oracle_counts(self, monkeypatch):
+        lam = np.concatenate([cascaded_envelopes(22, 2 * _STATS_BLOCK), near_edges(), [7.0, 1e3]])
+        fit = envelope_chi_square(lam)
+        monkeypatch.setattr(channel, "_envelope_counts", histogram_counts)
+        assert envelope_chi_square(lam) == fit
+
+
 class TestValidateStats:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
@@ -580,6 +642,21 @@ class TestValidateStats:
         assert st.variance == pytest.approx(variance, rel=1e-12)
         assert st.lag1_autocorr == pytest.approx(lag1, rel=1e-12)
         assert np.array_equal(st.bin_edges, edges) and np.array_equal(st.densities, dens)
+
+    def test_own_working_set_is_a_few_block_temporaries(self):
+        # per sample of a block: the deviations' 16 bytes are freed before the envelope is counted, which takes
+        # at most |h|, its capped copy, the bin indices and their upper edges (8 bytes each) and the comparison's
+        # bools, 33 bytes; bounded at 40 bytes a sample of one block, whatever the input's size
+        h = gen_fading(FadingSpec(0.02), 10, rng_for(23), 10**5)
+        validate_stats(h)  # one-time allocations
+        tracemalloc.start()
+        try:
+            st = validate_stats(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert st.variance == pytest.approx(1.0, abs=0.05)
+        assert peak <= 40 * _STATS_BLOCK
 
     def test_histogram_is_a_density(self):
         rng = rng_for(15)

@@ -12,9 +12,10 @@ Runs the `dafrelay` command line of the checkout this file belongs to (its
   `--pdb 0:10:50`, frame_len 1000, max_symbols 1e5, min_bit_errors 300;
 - `validate_<scenario>.txt`: `validate-channel` for I-III, 10^6 samples, seed 3;
 - `validate_raw_<scenario>.txt`: the `repr` of each model's mean, variance and lag-1
-  autocorrelation that run computed, recorded by model (the two models run on two
-  threads where two CPUs are usable) and written in model order, so that a change of
-  one last bit shows, which the printed five decimals hide;
+  autocorrelation that run computed, of its chi-square (statistic, p-value) and of its
+  envelope densities, recorded by model (the two models run on two threads where two CPUs
+  are usable) and written in model order, two lines per model, so that a change of one
+  last bit or of one count in a bin shows, which the printed five decimals hide;
 - `theory_<scenario>_m<M>.csv`: `sweep --no-sim --scheme all` on 0:0.5:60;
 - `theory_wide_<scenario>_m4.csv`: `sweep --no-sim --scheme tvd --m 4` on -30:0.125:80, 881 points,
   more than one block of the analysis' quadrature pass, down to the lowest power the theory covers;
@@ -83,10 +84,17 @@ def recorded(fn, results: dict):
 
 
 def validate_raw(results: dict) -> bytes:
-    """The repr of the mean, variance and lag-1 of each model's ChannelStats, in validate-channel's model order."""
-    stats = ((kind, results[kind][0]) for kind in channel.CascadedModelKind)
-    return "".join(f"model={kind.value} mean={st.mean!r} variance={st.variance!r} lag1={st.lag1_autocorr!r}\n"
-                   for kind, st in stats).encode()
+    """The repr of each model's ChannelStats and chi-square (statistic, p-value), in validate-channel's model order.
+
+    Per model: `model= mean= variance= lag1= chi_square=(stat, p)`, then `densities=[...]`, the 100 bins' floats.
+    """
+    lines = []
+    for kind in channel.CascadedModelKind:
+        st, chi_square = results[kind]
+        lines.append(f"model={kind.value} mean={st.mean!r} variance={st.variance!r} lag1={st.lag1_autocorr!r} "
+                     f"chi_square={chi_square!r}\n")
+        lines.append(f"densities={st.densities.tolist()!r}\n")
+    return "".join(lines).encode()
 
 
 def chunks():
