@@ -17,6 +17,7 @@ processes needs many independent realizations: a single chain at low Doppler
 has an effective sample size far too small for the tolerances used here.
 """
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -293,13 +294,48 @@ def _gen_sos(f, length, rng, n_real):
     return h
 
 
+# glibc's mallopt parameters (malloc.h), with the values _heap_policy sets, in the order it sets them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
+
+
+@functools.cache
+def _heap_policy() -> bool:
+    """Keep the arrays a simulation frees on the heap for its next chunk; True when glibc took the policy.
+
+    By default glibc's mmap and trim thresholds are dynamic: a chunk's freed 0.5-1.3 MB
+    temporaries are unmapped, or trimmed off the top of the heap, and the next chunk faults their
+    pages in again, on every chunk thread at once.  A fixed mmap threshold of 32 MiB (glibc's
+    64-bit ceiling) puts such arrays on the heap, and a trim threshold of 256 MiB keeps their pages
+    there: freed memory stays with the process, up to that size, until it exits.  Both thresholds
+    are set, because setting either one turns the dynamic thresholds off: the trim threshold alone
+    leaves the mmap threshold at 128 KiB, and every larger array is then mapped and unmapped per
+    chunk.  The mmap threshold goes first, so a refused one leaves the trim threshold unset.
+    Without glibc's mallopt nothing is set.  No array operation changes, so every output keeps its
+    bits.  Called by `gen_fading`, the first link draw of every chunk and of every validate-channel model,
+    so any caller that draws links gets the policy.  `functools.cache` may run this body twice when two
+    chunk threads make a process's first draws at once; mallopt is idempotent, so the second run sets the
+    same values, and no lock is needed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # a C library without mallopt, or none by that name (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        if mallopt(param, value) != 1:  # mallopt returns 1 on success
+            return False
+    return True
+
+
 def gen_fading(spec: FadingSpec, length: int, rng, realizations: int):
     """`realizations` independent rows of a zero-mean, unit-variance correlated complex Gaussian process.
 
-    Returns shape (realizations, length).
+    Returns shape (realizations, length).  The first call of a process sets glibc's heap policy (`_heap_policy`).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    _heap_policy()
     if spec.generator is FadingGenerator.AR1:
         return _gen_ar1(autocorr(spec), length, rng, realizations)
     return _gen_sos(spec.f, length, rng, realizations)

@@ -21,7 +21,7 @@ from .channel import (
     validate_stats,
 )
 from .link import SIMULATED_ORDERS
-from .montecarlo import RunConfig, _heap_policy, run_sweep, seed_word
+from .montecarlo import RunConfig, run_sweep, seed_word
 from .receiver import Scheme
 
 CSV_HEADER = "p_db,scenario,scheme,m,ber_sim,ci95,ber_theory,ber_floor,truncated"
@@ -68,8 +68,8 @@ def parse_grid(spec: str) -> tuple:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key = value format; '#' starts a comment."""
-    out = {}
+    """Flat key = value format; '#' starts a comment.  Keys are lowercased, and a key given twice is an error."""
+    out, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -78,7 +78,10 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.lower()] = value
+            key = key.lower()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+            out[key], lines[key] = value, lineno
     return out
 
 
@@ -205,7 +208,6 @@ def cmd_validate_channel(args) -> int:
     n_frames = n_samples // frame_len
     spec_sr, spec_rd = FadingSpec(scenario.f_sr), FadingSpec(scenario.f_rd)
     _, alpha = scenario.autocorrs()
-    _heap_policy()
 
     lines = [f"channel validation: scenario {scenario.name}",
              f"links: f_sd={scenario.f_sd} f_sr={scenario.f_sr} f_rd={scenario.f_rd} "

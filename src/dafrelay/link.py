@@ -120,21 +120,12 @@ def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng) -> tuple[np.ndarray,
     in that order; arrays may be 1D or (realizations, length).  Returns (y_sd, y_rd).
     """
     s = np.asarray(s)
-    # w_sd + (sqrt(P0) h_sd) s, then v_rd + (A sqrt(P0) h) s, each summed in place through a scratch buffer
-    # that is freed while v_rd is drawn, so that at most three arrays of s's size are made here at once;
-    # each product keeps its operand order, as numpy's complex multiply is not bitwise commutative
+    # no scratch buffer is needed: numpy reuses a product's temporary in place for the next product, so y_sd, y_rd
+    # or its draw, and one product or the noise scale (two half-size float arrays) are the most arrays of s's size
+    # live at once, three; each product keeps its operand order, as numpy's complex multiply is not bitwise
+    # commutative
     y_sd = _crandn(rng, s.shape)
-    scratch = np.multiply(np.sqrt(power.P0), h_sd, out=np.empty_like(y_sd))
-    scratch *= s
-    y_sd += scratch
-    del scratch
-    sd = np.square(h_rd.real)
-    sd += np.square(h_rd.imag)
-    sd *= power.A * power.A
-    sd += 1.0
-    y_rd = _crandn(rng, s.shape, np.sqrt(sd, out=sd))
-    del sd
-    scratch = np.multiply(power.A * np.sqrt(power.P0), h, out=np.empty_like(y_rd))
-    scratch *= s
-    y_rd += scratch
+    y_sd += np.sqrt(power.P0) * h_sd * s
+    y_rd = _crandn(rng, s.shape, np.sqrt((np.square(h_rd.real) + np.square(h_rd.imag)) * (power.A * power.A) + 1.0))
+    y_rd += power.A * np.sqrt(power.P0) * h * s
     return y_sd, y_rd

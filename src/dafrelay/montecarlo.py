@@ -19,8 +19,6 @@ speed-up.  The thread pool is made once per sweep, since threads do not survive
 a `fork`; it starts no thread for a one-chunk sweep.
 """
 
-import ctypes
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -45,37 +43,6 @@ __all__ = ["RunConfig", "BerEstimate", "seed_word", "run_point_schemes", "run_sw
 
 # chunks computed at once by run_sweep: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# glibc's mallopt parameters (malloc.h), with the values _heap_policy sets, in the order it sets them
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
-
-
-@functools.cache
-def _heap_policy() -> bool:
-    """Keep the arrays a simulation frees on the heap for its next chunk; True when glibc took the policy.
-
-    By default glibc's mmap and trim thresholds are dynamic: a chunk's freed 0.5-1.3 MB
-    temporaries are unmapped, or trimmed off the top of the heap, and the next chunk faults their
-    pages in again, on every chunk thread at once.  A fixed mmap threshold of 32 MiB (glibc's
-    64-bit ceiling) puts such arrays on the heap, and a trim threshold of 256 MiB keeps their pages
-    there: freed memory stays with the process, up to that size, until it exits.  Both thresholds
-    are set, because setting either one turns the dynamic thresholds off: the trim threshold alone
-    leaves the mmap threshold at 128 KiB, and every larger array is then mapped and unmapped per
-    chunk.  The mmap threshold goes first, so a refused one leaves the trim threshold unset.
-    Without glibc's mallopt nothing is set.  No array operation changes, so every output keeps its
-    bits.  Called by the commands that simulate, before their first chunk-sized allocation.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, TypeError):  # a C library without mallopt, or none by that name (Windows)
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param, value in _HEAP_POLICY:
-        if mallopt(param, value) != 1:  # mallopt returns 1 on success
-            return False
-    return True
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -150,7 +117,9 @@ class _Point:
     def chunk(self, i):
         """Chunk i on its own stream: data of shape (n, L), y_sd, y_rd and h_rd of (n, L + 1), n = chunk_frames(i).
 
-        Draw order is fixed for reproducibility: data, h_sd, the cascade (h_rd first), then noise.
+        Draw order is fixed for reproducibility: data, h_sd, the cascade (h_rd first), then noise.  At its peak
+        the chunk holds s, h_sd, h, h_rd and the three arrays that `transmit`, or an AR(1) link's scan (its
+        draws, its gemm rows and their product), has live: 7 arrays of the observations' shape, and the data.
         """
         rng, const = _chunk_rng(self.config, self.p_db, i), self.const
         n_frames, L = self.chunk_frames(i), self.config.frame_len
@@ -217,7 +186,6 @@ def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
         raise ValueError("no scheme to simulate: the scheme list is empty")
     if len(set(schemes)) < len(schemes):
         raise ValueError(f"repeated scheme in {[scheme.value for scheme in schemes]}")
-    _heap_policy()
     points = [_Point(config, p_db, schemes) for p_db in config.p_db_grid]
     n_chunks = -(-(config.max_symbols // config.frame_len) // config.frames_per_chunk)
 

@@ -90,8 +90,7 @@ def diff_products(y_sd, y_rd, M):
     Each branch's complex d is freed before the next one's is formed."""
     re, im = [], []
     for y in (y_sd, y_rd):
-        d = np.conj(y[..., :-1])
-        d *= y[..., 1:]
+        d = np.conj(y[..., :-1]) * y[..., 1:]
         re.append(np.ascontiguousarray(d.real))
         im += [np.ascontiguousarray(d.imag)] if M == 4 else []
         del d

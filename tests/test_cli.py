@@ -39,8 +39,13 @@ generator = ar1
 
 
 def write_cfg(tmp_path, extra=""):
+    """FAST_CFG with the entries of `extra` in place of its own of the same keys: a config file sets a key once."""
+    def key(line):
+        return line.split("=", 1)[0].strip()
+
+    keys = {key(line) for line in extra.splitlines()}
     path = tmp_path / "run.cfg"
-    path.write_text(FAST_CFG + extra)
+    path.write_text("".join(line + "\n" for line in FAST_CFG.splitlines() if key(line) not in keys) + extra)
     return str(path)
 
 
@@ -80,6 +85,15 @@ class TestHelpers:
         path = tmp_path / "a.cfg"
         path.write_text("M = 4  # order\n\nseed=7\n")
         assert read_config_file(str(path)) == {"m": "4", "seed": "7"}
+
+    def test_read_config_file_rejects_a_repeated_key(self, tmp_path, capsys):
+        # keys are compared after lowercasing: "m" then "M" would silently run M = 4
+        path = tmp_path / "twice.cfg"
+        path.write_text("m = 2\nseed = 7\nM = 4\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:3: key 'm' is already set on line 1"):
+            read_config_file(str(path))
+        assert main(["sweep", "--config", str(path), "--scenario", "III", "--no-sim"]) == EXIT_USAGE
+        assert "key 'm'" in capsys.readouterr().err
 
     def test_read_config_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """Differential modulation, power allocation and the two-phase transmit chain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,25 @@ class TestTransmit:
         assert abs(np.mean(np.abs(v) ** 2) - var) < 4.0 * se
         assert abs(np.mean(v**2)) < 4.0 * np.sqrt(2.0) * se
         assert stats.kstest(np.abs(v) ** 2 / var, "expon").pvalue > 1e-4
+
+    @pytest.mark.parametrize("shape", [(8, 10001), (32, 1001)])
+    def test_own_working_set(self, shape):
+        # the two chunk shapes of the benchmark's sweeps, each above numpy's 256 KiB elision size; transmit's
+        # comment: y_sd, y_rd or its draw, and one product or the noise scale (two half-size float arrays) are
+        # the most arrays of s's size live at once, three; numpy's ufunc buffers take up to 8192 elements each
+        draw = np.random.default_rng(8)
+        s = Constellation.of(4).symbols[draw.integers(0, 4, shape)]
+        h_sd, h, h_rd = (draw.standard_normal(shape) + 1j * draw.standard_normal(shape) for _ in range(3))
+        pa = PowerAllocation.equal_from_total_db(20.0)
+        transmit(s, h_sd, h, h_rd, pa, np.random.default_rng(1))  # one-time allocations
+        tracemalloc.start()
+        try:
+            y_sd, y_rd = transmit(s, h_sd, h, h_rd, pa, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y_sd.shape == y_rd.shape == shape
+        assert peak <= 3 * s.nbytes + 2 * 8192 * 16
 
     def test_batched_shapes(self):
         c = Constellation.of(4)

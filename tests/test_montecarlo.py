@@ -23,7 +23,7 @@ from dafrelay.channel import (
     FadingSpec,
     autocorr,
 )
-from dafrelay import montecarlo
+from dafrelay import channel, montecarlo
 from dafrelay.montecarlo import (
     RunConfig,
     run_point_schemes,
@@ -341,10 +341,17 @@ class TestWorkerCount:
 
 
 class TestChunkMemory:
-    def test_sos_exact_chunk_working_set(self):
-        # the CLI's default chunk shape: 8 frames of 10^4 symbols, SoS fading, exact cascade; a sweep has one
-        # chunk in flight per CPU, so its memory grows with the peak of one chunk
-        cfg = RunConfig(SCENARIOS["III"], frame_len=10**4, max_symbols=8 * 10**4, frames_per_chunk=8)
+    # a sweep has one chunk in flight per CPU, so its memory grows with the peak of one chunk: the CLI's default
+    # chunk (8 frames of 10^4 symbols, SoS fading, exact cascade, M=2) and sweep_ar1_approx's (32 frames of 1000,
+    # AR(1) fading, one-term cascade, M=4)
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(SCENARIOS["III"], frame_len=10**4, max_symbols=8 * 10**4, frames_per_chunk=8),
+        RunConfig(SCENARIOS["III"], M=4, frame_len=1000, max_symbols=32 * 1000, frames_per_chunk=32,
+                  generator=FadingGenerator.AR1, cascaded_model=CascadedModelKind.APPROXIMATE),
+    ], ids=["sos-exact-m2", "ar1-approx-m4"])
+    def test_chunk_working_set(self, cfg):
+        # _Point.chunk's docstring: at most 7 arrays of the observations' shape are live, plus the data at one
+        # byte a symbol (1/16 array); half an array more covers the scan's padded gemm rows and numpy's buffers
         point = _Point(cfg, 10.0, ())
         point.chunk(0)  # one-time allocations
         tracemalloc.start()
@@ -353,21 +360,26 @@ class TestChunkMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        array = np.empty((8, 10**4 + 1), dtype=complex).nbytes
-        assert generated[1].shape == (8, 10**4 + 1)
-        assert peak <= 8.5 * array
+        shape = (cfg.frames_per_chunk, cfg.frame_len + 1)
+        assert generated[1].shape == shape
+        assert peak <= 7.5 * np.empty(shape, dtype=complex).nbytes
 
 
-FAULT_PROBE = """
-import os, sys
+# the probes run in a fresh interpreter, which has drawn no link yet; they check only that the C library has
+# mallopt, and leave setting the heap policy to the code under test
+PROBE_PREAMBLE = """
+import ctypes, os, sys
 sys.path.insert(0, sys.argv[1])
-from dafrelay import montecarlo
-from dafrelay.cli import main
-
-if not montecarlo._heap_policy():
+try:
+    ctypes.CDLL(None).mallopt
+except (AttributeError, TypeError):
     print("no mallopt")
     sys.exit()
 import resource
+"""
+
+FAULT_PROBE = PROBE_PREAMBLE + """
+from dafrelay.cli import main
 
 argv = ["sweep", "--config", sys.argv[2], "--scenario", "III", "--scheme", "all", "--pdb", "10:20:30",
         "--out", os.devnull]
@@ -376,6 +388,27 @@ for seed in range(3):
     assert main(argv + ["--seed", str(seed)]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+GEN_FADING_PROBE = PROBE_PREAMBLE + """
+from dafrelay.channel import FadingSpec, gen_fading, seeded_rng
+
+rng = seeded_rng([5])
+gen_fading(FadingSpec(0.05), 10, rng, 6553)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+gen_fading(FadingSpec(0.05), 10, rng, 6553)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def minor_faults(probe, *args):
+    """The minor faults that `probe` prints, run in a fresh interpreter on this checkout's src; skips without mallopt."""
+    src = Path(montecarlo.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", probe, str(src), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "no mallopt":
+        pytest.skip("the C library has no mallopt")
+    return int(proc.stdout)
 
 
 def no_c_library(name):
@@ -390,19 +423,19 @@ class TestHeapPolicy:
         cfg = tmp_path / "sos.cfg"
         cfg.write_text("generator = sos\ncascaded = exact\nframe_len = 10000\nmax_symbols = 80000\n"
                        "min_bit_errors = 1000000000\n")
-        src = Path(montecarlo.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(src), str(cfg)],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        if proc.stdout.strip() == "no mallopt":
-            pytest.skip("the C library has no mallopt")
-        assert int(proc.stdout) < 500
+        assert minor_faults(FAULT_PROBE, cfg) < 500
+
+    def test_library_draws_reuse_the_freed_arrays(self):
+        # gen_fading called from library code, with no command run: its first call sets the policy, so the second
+        # one's output and its row blocks' draws and scan buffers (about 2.5 MB at 6553 x 10) go where the first
+        # call's were freed; 100 faults (400 KB of pages) leave room for the interpreter's own allocations
+        assert minor_faults(GEN_FADING_PROBE) < 100
 
     @pytest.mark.parametrize("libc", [lambda name: types.SimpleNamespace(), no_c_library],
                              ids=["no-mallopt", "no-c-library"])
     def test_nothing_is_set_without_mallopt(self, monkeypatch, libc):
         monkeypatch.setattr(ctypes, "CDLL", libc)
-        assert montecarlo._heap_policy.__wrapped__() is False
+        assert channel._heap_policy.__wrapped__() is False
 
     @pytest.mark.parametrize("refused, expected", [(None, [(-3, 32 << 20), (-1, 256 << 20)]),
                                                    (-3, [(-3, 32 << 20)]), (-1, [(-3, 32 << 20), (-1, 256 << 20)])])
@@ -416,7 +449,7 @@ class TestHeapPolicy:
             return int(param != refused)
 
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
-        assert montecarlo._heap_policy.__wrapped__() is (refused is None)
+        assert channel._heap_policy.__wrapped__() is (refused is None)
         assert calls == expected
 
 
