@@ -4,11 +4,10 @@ Two backends are provided for each individual link: an AR(1) recursion whose
 lag-1 autocorrelation is exact by construction, and an improved-Jakes
 sum-of-sinusoids simulator whose autocorrelation tracks J0(2*pi*f*k), with the
 draws and terms of the classical cosine form summed as a matmul over k = b*B + j.
-The AR(1) link and the one-term cascade approximation share one generator (`_gen_ar1`),
-the cascade's driven by h_rd.  It runs over blocks of rows (`_gen_ar1_blocks`), drawing
-each block's innovations as it goes, and runs every block's recursion as one blocked
-linear scan (`_ar1_scan`), one real matmul per block of samples.  Both cascade models
-(`_cascade`) write block by block into a given output, which may be h_rd's own buffer.
+Every AR(1) link and both cascades (`_cascade`) come from one generator, `_gen_ar1`: it draws
+and scans blocks of rows (`_ar1_scan`, one real matmul per block of samples), driven by h_rd
+for the one-term cascade, each block times h_rd for the exact one, into a given output,
+which may be h_rd's own buffer.
 A link used every n-th symbol (n = 2 for symbol-by-symbol transmission) is the link at n*f.
 
 Every generator returns a batch of independent realizations, shape
@@ -192,40 +191,37 @@ def _ar1_scan(a, block, x):
     block[:, 1:] = (buf @ k).reshape(-1, width)[:total].view(complex).reshape(n, -1)[:, :m]
 
 
-def _gen_ar1_blocks(alpha, length, rng, n_real, gain=None, out=None):
-    """Yield (rows, h) for each row block of h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1], h[0] = e_0, in row order.
+def _gen_ar1(alpha, length, rng, n_real, gain=None, out=None, *, times=None):
+    """Rows of h[k] = alpha*h[k-1] + sqrt(1-alpha^2)*e[k-1], h[0] = e_0, into `out` (a new array if None), returned.
 
-    The CN(0,1) draws are h0 first, then each block's innovations, at their scale, as the block runs:
-    SFC64 fills its draws in order, so this is the stream of drawing every innovation at once, with no
-    array of them all.  A (n_real, length) `gain` drives the recursion: h[0] = e_0*gain[0] and the input
-    is (sqrt(1-alpha^2)*e[k-1])*gain[k-1], both formed in the buffers of the draws, a block's before its
-    rows are written, so `out` may be gain itself.  h is out[rows], or without `out` the block's rows of
-    one buffer that every block reuses, so h holds until the next block is made.  Each block runs
-    `_ar1_scan`.
+    The rows run in blocks of about _AR1_BLOCK samples, each by `_ar1_scan`.  The CN(0,1) draws are h0
+    first, then each block's innovations, at their scale, as the block runs: SFC64 fills its draws in
+    order, so this is the stream of drawing every innovation at once, with no array of them all.  A
+    (n_real, length) `gain` drives the recursion: h[0] = e_0*gain[0] and the input is
+    (sqrt(1-alpha^2)*e[k-1])*gain[k-1], both formed in the buffers of the draws, a block's before its rows
+    are written, so `out` may be gain itself.  With a (n_real, length) `times`, out is h*times: each block
+    is made in out's rows and multiplied there by times' rows, or in one scratch buffer that every block
+    reuses when out may share memory with times (the exact cascade built in h_rd's own buffer).
     """
+    out = np.empty((n_real, length), dtype=complex) if out is None else out
     h0 = _crandn(rng, n_real)
     if gain is not None:
         h0 *= gain[:, 0]
     scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
     step = max(1, _AR1_BLOCK // length)
-    scratch = np.empty((min(n_real, step), length), dtype=complex) if out is None else None
+    in_place = times is not None and np.may_share_memory(out, times)
+    scratch = np.empty((min(n_real, step), length), dtype=complex) if in_place else None
     for i in range(0, n_real, step):
         rows = slice(i, min(i + step, n_real))
         x = _crandn(rng, (rows.stop - i, length - 1), scale)
         if gain is not None:
             x *= gain[rows, :-1]
-        h = out[rows] if scratch is None else scratch[:len(x)]
+        h = scratch[:len(x)] if in_place else out[rows]
         h[:, 0] = h0[rows]
         _ar1_scan(alpha, h, x)
         del x  # the next block's input is drawn without this one
-        yield rows, h
-
-
-def _gen_ar1(alpha, length, rng, n_real, gain=None, out=None):
-    """The rows of `_gen_ar1_blocks`, written into `out` (a new array if None), which is returned."""
-    out = np.empty((n_real, length), dtype=complex) if out is None else out
-    for _ in _gen_ar1_blocks(alpha, length, rng, n_real, gain, out):
-        pass
+        if times is not None:
+            np.multiply(h, times[rows], out=out[rows])
     return out
 
 
@@ -353,28 +349,21 @@ def gen_cascaded(spec_sr: FadingSpec, spec_rd: FadingSpec, kind: CascadedModelKi
 
 
 def _cascade(spec_sr: FadingSpec, spec_rd: FadingSpec, kind: CascadedModelKind, h_rd, rng, out=None):
-    """The cascade of the drawn h_rd, written row block by row block into `out`, which may be h_rd itself.
+    """The cascade of the drawn h_rd, written into `out`, which may be h_rd itself.
 
-    EXACT_PRODUCT multiplies an independently generated h_sr by h_rd elementwise, h_sr * h_rd; an AR(1)
-    h_sr runs by row blocks, each multiplied into out as it is made.  APPROXIMATE is the one-term recursion
+    EXACT_PRODUCT multiplies an independently generated h_sr by h_rd elementwise, h_sr * h_rd: an AR(1)
+    h_sr is `_gen_ar1` times h_rd.  APPROXIMATE is the one-term recursion
     h[k] = a*h[k-1] + (sqrt(1-a^2)*e_sr[k-1])*h_rd[k-1] with a = a_sr*a_rd from h[0] = e_0*h_rd[0]:
-    `_gen_ar1` driven by h_rd.  Without `out`, the product is made in h_sr's buffer and the recursion in a
+    `_gen_ar1` driven by h_rd.  Without `out`, a SoS product is made in h_sr's buffer and the others in a
     new array.  Returns the cascade.
     """
     n_real, length = h_rd.shape
     if kind is CascadedModelKind.APPROXIMATE:
         return _gen_ar1(autocorr(spec_sr) * autocorr(spec_rd), length, rng, n_real, gain=h_rd, out=out)
     if spec_sr.generator is FadingGenerator.AR1:
-        out = np.empty_like(h_rd) if out is None else out
-        # h_sr's blocks go to out's rows, unless those may be h_rd's
-        rows_out = None if np.may_share_memory(out, h_rd) else out
-        blocks = _gen_ar1_blocks(autocorr(spec_sr), length, rng, n_real, out=rows_out)
-    else:
-        h_sr = _gen_sos(spec_sr.f, length, rng, n_real)
-        out, blocks = h_sr if out is None else out, [(slice(None), h_sr)]
-    for rows, h_sr in blocks:
-        np.multiply(h_sr, h_rd[rows], out=out[rows])
-    return out
+        return _gen_ar1(autocorr(spec_sr), length, rng, n_real, out=out, times=h_rd)
+    h_sr = _gen_sos(spec_sr.f, length, rng, n_real)
+    return np.multiply(h_sr, h_rd, out=h_sr if out is None else out)
 
 
 def envelope_pdf_theoretical(lam):

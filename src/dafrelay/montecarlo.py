@@ -87,14 +87,17 @@ def seed_word(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
-def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
-    """The stream of one chunk: the seed, the power in mdB, M and the chunk index, each its own word.
+def _power_word(p_db: float) -> int:
+    """A power as the word its chunk streams are keyed by: rounded to mdB, as a 32-bit two's-complement word.
 
-    The seed and the mdB go in as two's-complement words of 64 and 32 bits; 2^31 mdB lies far
-    beyond the powers that PowerAllocation accepts (about -3240..3080 dB).
+    2^31 mdB lies far beyond the powers that PowerAllocation accepts (about -3240..3080 dB).
     """
-    mdb = int(round(p_db * 1000))
-    return seeded_rng([seed_word(config.master_seed), mdb & 0xFFFFFFFF, config.M, chunk_index])
+    return int(round(p_db * 1000)) & 0xFFFFFFFF
+
+
+def _chunk_rng(config: RunConfig, p_db: float, chunk_index: int):
+    """The stream of one chunk: the seed (a 64-bit `seed_word`), `_power_word`, M and the chunk index."""
+    return seeded_rng([seed_word(config.master_seed), _power_word(p_db), config.M, chunk_index])
 
 
 class _Point:
@@ -178,8 +181,9 @@ def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
 
     Each point runs until every scheme has min_bit_errors or its budget of max_symbols // frame_len
     whole frames is spent.  An empty or repeated scheme list raises ValueError: a point of no scheme
-    has no stopping rule, and a repeated scheme's counts would be added once per repeat.  Returns a
-    flat list in scheme-major order: every point of the first scheme, then every point of the next.
+    has no stopping rule, and a repeated scheme's counts would be added once per repeat.  So do two
+    grid points of one `_power_word`, which would draw the same chunks.  Returns a flat list in
+    scheme-major order: every point of the first scheme, then every point of the next.
     """
     schemes = list(schemes)
     if not schemes:
@@ -187,6 +191,13 @@ def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:
     if len(set(schemes)) < len(schemes):
         raise ValueError(f"repeated scheme in {[scheme.value for scheme in schemes]}")
     points = [_Point(config, p_db, schemes) for p_db in config.p_db_grid]
+    first = {}  # the first grid point of each power word
+    for p_db in config.p_db_grid:
+        word = _power_word(p_db)
+        if word in first:
+            raise ValueError(f"grid points {first[word]} and {p_db} dB round to the same mdB, so they would share "
+                             "one random stream: simulated powers must round to distinct multiples of 0.001 dB")
+        first[word] = p_db
     n_chunks = -(-(config.max_symbols // config.frame_len) // config.frames_per_chunk)
 
     # drawn round by round, after the last round's adds, so a stopped point's chunks are not scheduled

@@ -400,15 +400,26 @@ class TestCascadedChannel:
         assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
         assert rng.standard_normal() == ref_rng.standard_normal()
 
+    @pytest.mark.parametrize("in_h_rd", [False, True])
     @pytest.mark.parametrize("generator", list(FadingGenerator))
-    def test_exact_product_is_h_sr_times_h_rd(self, generator):
-        # oracle: the two links drawn one after the other, multiplied in h_sr's order
+    def test_exact_product_is_h_sr_times_h_rd(self, monkeypatch, generator, in_h_rd):
+        # oracle: the two links drawn one after the other, multiplied in h_sr's order.  The cascade is built
+        # by gen_cascaded, or in h_rd's own buffer as validate-channel builds it, in row blocks of 300 rows,
+        # the last one of 200, so an AR(1) h_sr goes through the scratch buffer block by block
         spec_sr, spec_rd = FadingSpec(0.05, generator), FadingSpec(0.01, generator)
-        h, h_rd = gen_cascaded(spec_sr, spec_rd, CascadedModelKind.EXACT_PRODUCT, 10, rng_for(34), 20_000)
         rng = rng_for(34)
         ref_rd = gen_fading(spec_rd, 10, rng, 20_000)
         ref = gen_fading(spec_sr, 10, rng, 20_000) * ref_rd
-        assert np.array_equal(h_rd, ref_rd)
+        monkeypatch.setattr(channel, "_AR1_BLOCK", 3000)
+        if in_h_rd:
+            rng = rng_for(34)
+            h_rd = gen_fading(spec_rd, 10, rng, 20_000)
+            assert np.array_equal(h_rd, ref_rd)
+            h = _cascade(spec_sr, spec_rd, CascadedModelKind.EXACT_PRODUCT, h_rd, rng, out=h_rd)
+            assert h is h_rd
+        else:
+            h, h_rd = gen_cascaded(spec_sr, spec_rd, CascadedModelKind.EXACT_PRODUCT, 10, rng_for(34), 20_000)
+            assert np.array_equal(h_rd, ref_rd)
         assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("length, realizations", [(1001, 64), (10, 1000), (30, 1)])

@@ -224,6 +224,33 @@ class TestSweepCommand:
     def test_malformed_grid_exits_usage(self):
         assert main(["sweep", "--scenario", "I", "--pdb", "5:1", "--no-sim"]) == EXIT_USAGE
 
+    def test_simulated_grid_points_of_one_mdb_exit_usage(self, tmp_path, capsys):
+        # 20, 20.0002 and 20.0004 dB round to 20000 mdB, so their chunks would come from one stream
+        rc = main(["sweep", "--scenario", "III", "--m", "2", "--scheme", "tvd", "--pdb", "20:0.0002:20.0006",
+                   "--seed", "1", "--config", write_cfg(tmp_path)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid points 20.0 and 20.0002 dB ")
+
+    def test_grid_of_one_mdb_steps_simulates(self, tmp_path, capsys):
+        rc = main(["sweep", "--scenario", "III", "--m", "2", "--scheme", "tvd", "--pdb", "20:0.001:20.002",
+                   "--seed", "1", "--config", write_cfg(tmp_path)])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["20", "20.001", "20.002"]
+        assert all(float(row[4]) > 0 for row in rows)
+        assert len({row[4] for row in rows}) == 3  # three streams
+
+    def test_theory_grid_below_one_mdb_prints(self, capsys):
+        # --no-sim draws nothing, so its points need no streams of their own
+        rc = main(["sweep", "--scenario", "III", "--m", "2", "--scheme", "tvd", "--pdb", "20:0.0002:20.0006",
+                   "--no-sim"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["20", "20.0002", "20.0004", "20.0006"]
+        assert all(row[4] == "" and float(row[6]) > 0 for row in rows)
+
     @pytest.mark.parametrize("pdb", ["4000", "nan", "inf", "0:inf:10", "-inf:5:0", "2900", "0:1e-6:1", "0:1e-9:1",
                                      "-1e308:1:1e308"])
     def test_power_out_of_range_exits_usage(self, capsys, pdb):

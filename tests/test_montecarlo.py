@@ -198,6 +198,16 @@ class TestChunkStreams:
         assert all(words[0] < 2**64 and max(words[1:]) < 2**32 for words in keys)
         assert len({tuple(words) for words in keys}) == 2 * len(powers)  # seeds -1 and 2**64 - 1 coincide
 
+    @pytest.mark.parametrize("grid, pair", [((20.0, 20.0002), "20.0 and 20.0002"),
+                                            ((10.0, 20.0006, 20.0014), "20.0006 and 20.0014"),
+                                            ((-0.0004, 5.0, 0.0), "-0.0004 and 0.0"),
+                                            ((7.0, 7.0), "7.0 and 7.0")])
+    def test_grid_points_of_one_power_word_are_rejected(self, monkeypatch, grid, pair):
+        # they would draw the same chunks; the error comes before any chunk runs
+        monkeypatch.setattr(_Point, "chunk_errors", None)
+        with pytest.raises(ValueError, match=f"grid points {pair} dB round to the same mdB"):
+            run_sweep(RunConfig(SCENARIOS["I"], p_db_grid=grid), [Scheme.TVD])
+
 
 class TestWorkerCount:
     """Chunks computed on 1, 2 or 3 threads give the serial result in every field."""
