@@ -117,15 +117,25 @@ def transmit(s, h_sd, h, h_rd, power: PowerAllocation, rng) -> tuple[np.ndarray,
     the relayed noise v_rd = A h_rd w_sr + w_rd is CN(0, 1 + A^2 |h_rd|^2) for
     either cascade model, so it is drawn as one term, sqrt(1 + A^2 |h_rd|^2) w,
     rather than built from w_sr and w_rd.  w_sd and w are i.i.d. CN(0,1), drawn
-    in that order; arrays may be 1D or (realizations, length).  Returns (y_sd, y_rd).
+    in that order; arrays may be 1D or (realizations, length).
+
+    The observations are formed in the gains' own buffers: h_sd and h, complex arrays of s's shape, are
+    overwritten, and the returned (y_sd, y_rd) are h_sd and h.  h_rd is only read.  So neither h_sd nor h may
+    share memory with s, h_rd or the other, or ValueError is raised: each would be read after it was written.
     """
     s = np.asarray(s)
-    # no scratch buffer is needed: numpy reuses a product's temporary in place for the next product, so y_sd, y_rd
-    # or its draw, and one product or the noise scale (two half-size float arrays) are the most arrays of s's size
-    # live at once, three; each product keeps its operand order, as numpy's complex multiply is not bitwise
-    # commutative
-    y_sd = _crandn(rng, s.shape)
-    y_sd += np.sqrt(power.P0) * h_sd * s
-    y_rd = _crandn(rng, s.shape, np.sqrt((np.square(h_rd.real) + np.square(h_rd.imag)) * (power.A * power.A) + 1.0))
-    y_rd += power.A * np.sqrt(power.P0) * h * s
-    return y_sd, y_rd
+    if any(np.may_share_memory(a, b) for a, b in ((h_sd, h), (h_sd, h_rd), (h, h_rd), (s, h_sd), (s, h))):
+        raise ValueError("transmit writes y_sd into h_sd and y_rd into h: neither may share memory with s, h_rd "
+                         "or the other")
+    # each product keeps its operand order, as numpy's complex multiply is not bitwise commutative: a real scalar
+    # becomes c + 0i on either side, and (c h) s is h's in-place product by c, then by s.  s is released before the
+    # first draw, so the gains, one draw and the relayed noise scale (two half-size float arrays) are the most
+    # arrays of s's size live at once
+    h_sd *= np.sqrt(power.P0)
+    h_sd *= s
+    h *= power.A * np.sqrt(power.P0)
+    h *= s
+    del s
+    h_sd += _crandn(rng, h_sd.shape)
+    h += _crandn(rng, h.shape, np.sqrt((np.square(h_rd.real) + np.square(h_rd.imag)) * (power.A * power.A) + 1.0))
+    return h_sd, h

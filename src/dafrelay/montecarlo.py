@@ -15,12 +15,16 @@ order, checks the stopping rule before each add and discards the chunks computed
 past its stop: results do not depend on W, and a point that stops on its error
 count wastes at most W - 1 chunks.  The numpy draws, the ufuncs and BLAS (the
 sum-of-sinusoids and AR(1) matmuls) release the GIL, so threads give a real
-speed-up.  The thread pool is made once per sweep, since threads do not survive
-a `fork`; it starts no thread for a one-chunk sweep.
+speed-up.  The process keeps one pool of W - 1 helper threads for all its sweeps
+(`_helpers`), made at the first round of more than one chunk, so a one-chunk sweep
+starts no thread; a new helper thread could take a fresh malloc arena, which holds
+none of the chunk memory that earlier sweeps freed.  A `fork` child drops the pool,
+since threads do not survive a fork, and makes its own.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -120,17 +124,20 @@ class _Point:
     def chunk(self, i):
         """Chunk i on its own stream: data of shape (n, L), y_sd, y_rd and h_rd of (n, L + 1), n = chunk_frames(i).
 
-        Draw order is fixed for reproducibility: data, h_sd, the cascade (h_rd first), then noise.  At its peak
-        the chunk holds s, h_sd, h, h_rd and the three arrays that `transmit`, or an AR(1) link's scan (its
-        draws, its gemm rows and their product), has live: 7 arrays of the observations' shape, and the data.
+        Draw order is fixed for reproducibility: data, h_sd, the cascade (h_rd first), then noise.  The symbols
+        s are encoded after the channel draws (encoding draws nothing) and passed to `transmit` with no other
+        reference, so it frees them before its noise draws; it forms y_sd and y_rd in h_sd's and h's buffers.
+        At its peak the chunk holds the three gains, one noise draw and the relayed noise scale, or h_sd, h_rd
+        and an AR(1) link's scan (its draws, its gemm rows and their product): 5 arrays of the observations'
+        shape with sum-of-sinusoids fading, about 6 with AR(1) fading, and the data.
         """
         rng, const = _chunk_rng(self.config, self.p_db, i), self.const
         n_frames, L = self.chunk_frames(i), self.config.frame_len
         data = rng.integers(0, const.M, (n_frames, L), dtype=np.uint8)  # the sent Gray patterns, one byte each
-        s = diff_encode(const.index_of_gray[data], const)  # Gray bit patterns -> symbol indices
         h_sd = gen_fading(self.specs[0], L + 1, rng, n_frames)
         h, h_rd = gen_cascaded(*self.specs[1:], self.config.cascaded_model, L + 1, rng, n_frames)
-        y_sd, y_rd = transmit(s, h_sd, h, h_rd, self.pa, rng)
+        # Gray bit patterns -> symbol indices -> symbols
+        y_sd, y_rd = transmit(diff_encode(const.index_of_gray[data], const), h_sd, h, h_rd, self.pa, rng)
         return data, y_sd, y_rd, h_rd
 
     def chunk_errors(self, i):
@@ -164,16 +171,47 @@ class _Point:
         return out
 
 
+_pool = None  # (W, the process's pool of W - 1 helper threads), made by _helpers
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():
+    """Forget the pool without touching its threads, and take a new lock: a fork child has none of its parent's
+    threads, and the lock may have been held by one of them."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _helpers(workers):
+    """The process's pool of `workers` - 1 helper threads: made on first use, and made again when the worker
+    count differs from the pool's.  Its threads start as chunks are first submitted to them."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = workers, ThreadPoolExecutor(workers - 1)
+        return _pool[1]
+
+
 def _run_rounds(fn, calls):
     """Yield (args, fn(*args)) for each args of `calls` in order, in rounds of W = _WORKERS (read per call): the
-    calling thread runs a round's first call, W - 1 helper threads the rest.  A round is drawn from `calls` once
-    the last one's results have all been taken, so `calls` may depend on what was done with them."""
+    calling thread runs a round's first call, the process's W - 1 helper threads (`_helpers`) the rest.  A round
+    is drawn from `calls` once the last one's results have all been taken, so `calls` may depend on what was done
+    with them.  A round's helper calls have all finished before an exception, or the generator's close, leaves
+    it."""
     calls, workers = iter(calls), _WORKERS
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        while round_ := list(islice(calls, workers)):
-            futures = [pool.submit(fn, *args) for args in round_[1:]]
+    while round_ := list(islice(calls, workers)):
+        futures = [_helpers(workers).submit(fn, *args) for args in round_[1:]]
+        try:
             yield round_[0], fn(*round_[0])
             yield from zip(round_[1:], (f.result() for f in futures))
+        finally:
+            wait(futures)
 
 
 def run_sweep(config: RunConfig, schemes) -> list[BerEstimate]:

@@ -143,7 +143,7 @@ class TestTransmit:
         h_sd = np.full(4, 0.3 + 0.4j)
         h_sr = np.full(4, 1.0 + 0j)
         h_rd = np.full(4, 0.5 - 0.2j)
-        y_sd, y_rd = transmit(s, h_sd, h_sr * h_rd, h_rd, pa, ZeroRng())
+        y_sd, y_rd = transmit(s, h_sd.copy(), h_sr * h_rd, h_rd, pa, ZeroRng())
         assert np.allclose(y_sd, np.sqrt(pa.P0) * h_sd * s, atol=0)
         assert np.allclose(y_rd, pa.A * h_rd * np.sqrt(pa.P0) * h_sr * s, atol=0)
 
@@ -151,17 +151,17 @@ class TestTransmit:
     @pytest.mark.parametrize("gains", ["real", "zeros", "complex"])
     def test_matches_observation_formula_bitwise(self, gains, noise):
         # oracle: the observation formulas as plain expressions on the same noise draws, the relayed noise
-        # in its equivalent form sqrt(1 + A^2 |h_rd|^2) w
+        # in its equivalent form sqrt(1 + A^2 |h_rd|^2) w; transmit overwrites h_sd and h, so it gets copies
         c = Constellation.of(4)
         pa = PowerAllocation.equal_from_total_db(7.0)
         draw = np.random.default_rng(9)
         s = diff_encode(draw.integers(0, 4, (3, 50)), c)
-        h_sd, h, h_rd = (draw.standard_normal(s.shape) for _ in range(3))
+        h_sd, h, h_rd = (draw.standard_normal(s.shape).astype(complex) for _ in range(3))
         if gains == "zeros":
-            h_sd, h, h_rd = (np.zeros(s.shape) for _ in range(3))
+            h_sd, h, h_rd = (np.zeros(s.shape, dtype=complex) for _ in range(3))
         elif gains == "complex":
             h_sd, h, h_rd = (g + 1j * draw.standard_normal(s.shape) for g in (h_sd, h, h_rd))
-        got_sd, got_rd = transmit(s, h_sd, h, h_rd, pa, np.random.default_rng(10) if noise else ZeroRng())
+        got_sd, got_rd = transmit(s, h_sd.copy(), h.copy(), h_rd, pa, np.random.default_rng(10) if noise else ZeroRng())
         ref_rng = np.random.default_rng(10)
         sd_rd = np.sqrt(1.0 + pa.A * pa.A * (h_rd.real ** 2 + h_rd.imag ** 2))
         if noise:
@@ -184,8 +184,7 @@ class TestTransmit:
         rng = np.random.default_rng(2)
         n = 200_000
         s = np.ones(n)
-        zeros = np.zeros(n)
-        y_sd, y_rd = transmit(s, zeros, zeros, zeros, pa, rng)
+        y_sd, y_rd = transmit(s, *(np.zeros(n, dtype=complex) for _ in range(3)), pa, rng)
         # direct branch noise is CN(0,1); relayed branch noise is CN(0,1)
         # because the relay path noise is scaled by h_rd = 0 here
         assert np.mean(np.abs(y_sd) ** 2) == pytest.approx(1.0, abs=0.01)
@@ -197,8 +196,7 @@ class TestTransmit:
         rng = np.random.default_rng(3)
         n = 200_000
         s = np.zeros(n)  # no signal: pure noise path
-        ones = np.ones(n)
-        _, y_rd = transmit(s, ones, ones, ones, pa, rng)
+        _, y_rd = transmit(s, *(np.ones(n, dtype=complex) for _ in range(3)), pa, rng)
         assert np.mean(np.abs(y_rd) ** 2) == pytest.approx(pa.A**2 + 1.0, rel=0.02)
 
     @pytest.mark.parametrize("h_rd", [0.0, 0.6 - 0.3j, 2.0 + 1.5j])
@@ -210,7 +208,7 @@ class TestTransmit:
         n = 100_000
         s = Constellation.of(4).symbols[draw.integers(0, 4, n)]
         h = draw.standard_normal(n) + 1j * draw.standard_normal(n)
-        _, y_rd = transmit(s, np.zeros(n), h, np.full(n, h_rd), pa, np.random.default_rng(6))
+        _, y_rd = transmit(s, np.zeros(n, dtype=complex), h.copy(), np.full(n, h_rd), pa, np.random.default_rng(6))
         v = y_rd - pa.A * np.sqrt(pa.P0) * h * s
         var = 1.0 + pa.A**2 * abs(h_rd) ** 2
         se = var / np.sqrt(n)  # of the mean of |v|^2, and of each part of the mean of v^2
@@ -222,28 +220,56 @@ class TestTransmit:
     @pytest.mark.parametrize("shape", [(8, 10001), (32, 1001)])
     def test_own_working_set(self, shape):
         # the two chunk shapes of the benchmark's sweeps, each above numpy's 256 KiB elision size; transmit's
-        # comment: y_sd, y_rd or its draw, and one product or the noise scale (two half-size float arrays) are
-        # the most arrays of s's size live at once, three; numpy's ufunc buffers take up to 8192 elements each
+        # comment: the observations are formed in the gains' buffers, so one draw and the relayed noise scale
+        # (two half-size float arrays) are the most arrays of s's size it makes live at once, two; numpy's ufunc
+        # buffers take up to 8192 elements each
         draw = np.random.default_rng(8)
         s = Constellation.of(4).symbols[draw.integers(0, 4, shape)]
-        h_sd, h, h_rd = (draw.standard_normal(shape) + 1j * draw.standard_normal(shape) for _ in range(3))
+        gains = [[draw.standard_normal(shape) + 1j * draw.standard_normal(shape) for _ in range(3)] for _ in range(2)]
         pa = PowerAllocation.equal_from_total_db(20.0)
-        transmit(s, h_sd, h, h_rd, pa, np.random.default_rng(1))  # one-time allocations
+        transmit(s, *gains[0], pa, np.random.default_rng(1))  # one-time allocations
         tracemalloc.start()
         try:
-            y_sd, y_rd = transmit(s, h_sd, h, h_rd, pa, np.random.default_rng(1))
+            y_sd, y_rd = transmit(s, *gains[1], pa, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert y_sd.shape == y_rd.shape == shape
-        assert peak <= 3 * s.nbytes + 2 * 8192 * 16
+        assert peak <= 2 * s.nbytes + 2 * 8192 * 16
+
+    def test_observations_are_formed_in_the_gains_buffers(self):
+        draw = np.random.default_rng(11)
+        s = Constellation.of(4).symbols[draw.integers(0, 4, (3, 20))]
+        h_sd, h, h_rd = (draw.standard_normal(s.shape) + 1j * draw.standard_normal(s.shape) for _ in range(3))
+        h_rd_before = h_rd.copy()
+        y_sd, y_rd = transmit(s, h_sd, h, h_rd, PowerAllocation.equal_from_total_db(10.0), np.random.default_rng(2))
+        assert np.shares_memory(y_sd, h_sd) and np.shares_memory(y_rd, h)
+        assert not np.shares_memory(y_sd, y_rd)
+        assert np.array_equal(h_rd, h_rd_before)
+
+    @pytest.mark.parametrize("pair", [("h_sd", "h"), ("h_sd", "h_rd"), ("h", "h_rd"), ("s", "h_sd"), ("s", "h")],
+                             ids="-".join)
+    @pytest.mark.parametrize("view", ["same", "overlap"])
+    def test_aliased_arrays_are_rejected(self, pair, view):
+        # h_sd and h are written, so neither may share memory with another argument: the second of the pair is
+        # the first itself, or a view that overlaps it by one column; nothing is written before the error
+        draw = np.random.default_rng(12)
+        buffers = {name: draw.standard_normal((3, 21)) + 1j * draw.standard_normal((3, 21))
+                   for name in ("s", "h_sd", "h", "h_rd")}
+        args = {name: b[:, :20] for name, b in buffers.items()}
+        first, second = pair
+        args[second] = args[first] if view == "same" else buffers[first][:, 1:]
+        before = {name: b.copy() for name, b in buffers.items()}
+        with pytest.raises(ValueError, match="share memory"):
+            transmit(args["s"], args["h_sd"], args["h"], args["h_rd"], PowerAllocation.equal_from_total_db(10.0),
+                     np.random.default_rng(3))
+        assert all(np.array_equal(buffers[name], before[name]) for name in buffers)
 
     def test_batched_shapes(self):
         c = Constellation.of(4)
         pa = PowerAllocation.equal_from_total_db(5.0)
         rng = np.random.default_rng(4)
         s = diff_encode(np.zeros((3, 10), dtype=int), c)
-        h = np.ones((3, 11), dtype=complex)
-        y_sd, y_rd = transmit(s, h, h, h, pa, rng)
+        y_sd, y_rd = transmit(s, *(np.ones((3, 11), dtype=complex) for _ in range(3)), pa, rng)
         assert y_sd.shape == (3, 11)
         assert y_rd.shape == (3, 11)

@@ -1,9 +1,12 @@
 """Monte Carlo BER machinery: stopping rules, determinism, paired-scheme runs."""
 
 import ctypes
+import multiprocessing
+import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from dataclasses import replace
@@ -43,6 +46,14 @@ FAST = dict(
 
 def run_one(cfg, p_db, scheme=Scheme.TVD):
     return run_point_schemes(cfg, p_db, [scheme])[scheme]
+
+
+@pytest.fixture
+def no_pool():
+    """The process's helper pool shut down and forgotten, so that a test sees its helper threads start."""
+    if montecarlo._pool is not None:
+        montecarlo._pool[1].shutdown()
+    montecarlo._drop_pool()
 
 
 class TestRunConfig:
@@ -253,7 +264,7 @@ class TestWorkerCount:
             assert run_point_schemes(cfg, 10.0, (Scheme.CDD, Scheme.TVD)) == serial
             assert calls.count(workers) == -(-stop // workers) * workers
 
-    def test_one_chunk_point_starts_no_thread(self, monkeypatch):
+    def test_one_chunk_point_starts_no_thread(self, monkeypatch, no_pool):
         # 2 frames in one chunk of 2: the calling thread computes it for every W
         cfg = RunConfig(SCENARIOS["II"], M=4, p_db_grid=(10.0,), min_bit_errors=10**9, max_symbols=2 * 300,
                         frame_len=300, frames_per_chunk=2, generator=FadingGenerator.AR1, master_seed=11)
@@ -350,18 +361,89 @@ class TestWorkerCount:
         assert sweep == [run_one(cfg, p_db) for p_db in cfg.p_db_grid]
 
 
+# 2 frames in two chunks of 1: one round of two chunks for W = 2
+TWO_CHUNKS = RunConfig(SCENARIOS["II"], M=4, p_db_grid=(10.0,), min_bit_errors=10**9, max_symbols=2 * 300,
+                       frame_len=300, frames_per_chunk=1, generator=FadingGenerator.AR1, master_seed=11)
+
+
+def sweep_in_child(expected):
+    """A forked child's sweep of TWO_CHUNKS: exit 0 if it gives `expected`."""
+    sys.exit(0 if run_point_schemes(TWO_CHUNKS, 10.0, [Scheme.TVD]) == expected else 1)
+
+
+class TestHelperPool:
+    """The process keeps one pool of W - 1 helper threads for every sweep."""
+
+    def test_sweeps_share_one_set_of_helper_threads(self, monkeypatch):
+        # a new helper thread could take a fresh malloc arena, which holds none of the chunks that the last sweep
+        # freed (TestHeapPolicy); native ids, unlike idents, are not reused as soon as a thread exits
+        helpers = []  # per sweep, the native ids of the threads other than the caller that computed its chunks
+        caller, generate = threading.get_ident(), _Point.chunk
+
+        def recording(point, i):
+            if threading.get_ident() != caller:
+                helpers[-1].add(threading.get_native_id())
+            return generate(point, i)
+
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(_Point, "chunk", recording)
+        for _ in range(4):
+            helpers.append(set())
+            run_point_schemes(TWO_CHUNKS, 10.0, [Scheme.TVD])
+        assert all(len(ids) == 1 for ids in helpers)
+        assert len(set().union(*helpers)) == 1
+
+    def test_failed_caller_chunk_waits_for_its_round(self, monkeypatch):
+        # the caller's chunk fails while the helper's chunk of its round runs: the exception reaches the caller
+        # only once that chunk has finished
+        class ChunkFailed(RuntimeError):
+            pass
+
+        helper_started, finished, generate = threading.Event(), [], _Point.chunk
+
+        def chunk(point, i):
+            if i == 0:
+                assert helper_started.wait(10)
+                raise ChunkFailed("chunk 0")
+            helper_started.set()
+            time.sleep(0.2)
+            finished.append(i)
+            return generate(point, i)
+
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(_Point, "chunk", chunk)
+        with pytest.raises(ChunkFailed):
+            run_point_schemes(TWO_CHUNKS, 10.0, [Scheme.TVD])
+        assert finished == [1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_fork_child_makes_its_own_pool(self, monkeypatch):
+        # the parent's helper has finished, so its pool counts an idle thread that a fork child does not have: a
+        # child that kept the pool would queue its chunk to no thread and wait for it forever
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        expected = run_point_schemes(TWO_CHUNKS, 10.0, [Scheme.TVD])
+        child = multiprocessing.get_context("fork").Process(target=sweep_in_child, args=(expected,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
 class TestChunkMemory:
     # a sweep has one chunk in flight per CPU, so its memory grows with the peak of one chunk: the CLI's default
     # chunk (8 frames of 10^4 symbols, SoS fading, exact cascade, M=2) and sweep_ar1_approx's (32 frames of 1000,
     # AR(1) fading, one-term cascade, M=4)
-    @pytest.mark.parametrize("cfg", [
-        RunConfig(SCENARIOS["III"], frame_len=10**4, max_symbols=8 * 10**4, frames_per_chunk=8),
-        RunConfig(SCENARIOS["III"], M=4, frame_len=1000, max_symbols=32 * 1000, frames_per_chunk=32,
-                  generator=FadingGenerator.AR1, cascaded_model=CascadedModelKind.APPROXIMATE),
+    @pytest.mark.parametrize("cfg, arrays", [
+        (RunConfig(SCENARIOS["III"], frame_len=10**4, max_symbols=8 * 10**4, frames_per_chunk=8), 5),
+        (RunConfig(SCENARIOS["III"], M=4, frame_len=1000, max_symbols=32 * 1000, frames_per_chunk=32,
+                   generator=FadingGenerator.AR1, cascaded_model=CascadedModelKind.APPROXIMATE), 6),
     ], ids=["sos-exact-m2", "ar1-approx-m4"])
-    def test_chunk_working_set(self, cfg):
-        # _Point.chunk's docstring: at most 7 arrays of the observations' shape are live, plus the data at one
-        # byte a symbol (1/16 array); half an array more covers the scan's padded gemm rows and numpy's buffers
+    def test_chunk_working_set(self, cfg, arrays):
+        # _Point.chunk's docstring: at most 5 arrays of the observations' shape are live with SoS fading and 6
+        # with AR(1) fading, plus the data at one byte a symbol (1/16 array); half an array more covers the
+        # scan's padded gemm rows and numpy's buffers
         point = _Point(cfg, 10.0, ())
         point.chunk(0)  # one-time allocations
         tracemalloc.start()
@@ -372,7 +454,7 @@ class TestChunkMemory:
             tracemalloc.stop()
         shape = (cfg.frames_per_chunk, cfg.frame_len + 1)
         assert generated[1].shape == shape
-        assert peak <= 7.5 * np.empty(shape, dtype=complex).nbytes
+        assert peak <= (arrays + 0.5) * np.empty(shape, dtype=complex).nbytes
 
 
 # the probes run in a fresh interpreter, which has drawn no link yet; they check only that the C library has

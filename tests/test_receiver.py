@@ -174,7 +174,7 @@ class TestCombineDetect:
         data = np.random.default_rng(5).integers(0, 4, 500)  # the sent Gray patterns
         s = diff_encode(c.index_of_gray[data], c)
         ones = np.ones(s.shape, dtype=complex)
-        ys = transmit(s, ones, ones, ones, pa, ZeroRng())
+        ys = transmit(s, ones.copy(), ones.copy(), ones.copy(), pa, ZeroRng())  # transmit writes h_sd and h
         d_sd, d_rd = products(*ys)
         weights = [weights_cdd(pa.A), weights_tvd(1.0, 1.0, pa.P0, pa.A),
                    weights_opt_genie(1.0, 1.0, pa.P0, pa.A, ones[:-1])]
@@ -191,7 +191,7 @@ class TestCombineDetect:
         s = diff_encode(data, c)  # for M = 2 each Gray pattern is its symbol index
         ones = np.ones(s.shape, dtype=complex)
         zeros = np.zeros(s.shape, dtype=complex)
-        parts = diff_products(*transmit(s, ones, zeros, zeros, pa, ZeroRng()), c.M)
+        parts = diff_products(*transmit(s, ones, zeros, zeros.copy(), pa, ZeroRng()), c.M)
         assert frame_errors([weights_cdd(pa.A)], parts, data, c) == [0]
 
     @pytest.mark.parametrize("M", [2, 4])
